@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trainers.coefficients import weight_variance  # noqa: F401  (diagnostic lives here too)
-
 
 @dataclass
 class SmallProblem:
@@ -151,14 +149,3 @@ def temperature_bounds(gamma: float, action_count: float) -> tuple[float, float]
     urex = 1.0 / (np.log(gamma) + np.log(action_count))
     return float(ment), float(urex)
 
-
-def exact_pg_gradient(p: SmallProblem, policy, grad_log_pi, tau: float | None = None) -> np.ndarray:
-    """Exact entropy-regularized policy gradient on an enumerable action set.
-
-    ``grad_log_pi[a]`` is the score vector of action ``a``; the result is
-    ``sum_a pi(a) grad_log_pi(a) (r(a) - tau log pi(a) - tau)``.
-    """
-    tau = p.tau if tau is None else tau
-    policy = np.asarray(policy, dtype=float)
-    bracket = p.rewards - tau * np.log(policy) - tau
-    return (policy * bracket) @ grad_log_pi

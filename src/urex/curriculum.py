@@ -55,6 +55,3 @@ class CurriculumState:
     def sample_length(self, rng: np.random.Generator) -> int:
         return int(rng.integers(LENGTH_FLOOR, self.current_max_length + 1))
 
-    @property
-    def window_mean(self) -> float:
-        return self._ratio_sum / len(self.ratios) if self.ratios else 0.0

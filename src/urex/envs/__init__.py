@@ -111,7 +111,3 @@ def make_env(task: TaskId, seed: int, length_range=None, config: EnvConfig | Non
     env.task = task
     return env
 
-
-def max_total_reward(env: Env) -> float:
-    """Total reward a perfect policy collects on the current episode."""
-    return env.max_total_reward()

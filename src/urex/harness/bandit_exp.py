@@ -16,7 +16,7 @@ import numpy as np
 
 from ..envs.bandit import BanditEnv
 from ..policy.linear import LinearBanditPolicy
-from ..trainers import AdamState, TrainConfig, adam_update, clip_gradient, group_coefficients
+from ..trainers import AdamState, TrainConfig, update
 
 
 @dataclass
@@ -71,13 +71,10 @@ def train_bandit_policy(env: BanditEnv, method: str, tau: float, eta: float,
     policy.init_params(rng, scale=cfg.init_scale)
     optim = AdamState.like(policy.params.flat)
     train_cfg = TrainConfig(method=method, tau=tau, learning_rate=eta,
-                            clip_norm=cfg.clip, k=cfg.k, n=1, max_steps=cfg.steps)
+                            clip_norm=cfg.clip, k=cfg.k, n=1)
     trace = []
     for step in range(1, cfg.steps + 1):
-        groups, grad_fn = policy.collect([env], cfg.k, rng)
-        coeffs, _ = group_coefficients(train_cfg, groups)
-        grad = clip_gradient(grad_fn(coeffs), cfg.clip)
-        policy.params.flat[:] = adam_update(policy.params.flat, grad, optim, eta)
+        update(policy, optim, [env], train_cfg, rng)
         if step % cfg.record_every == 0 or step == cfg.steps:
             trace.append(policy.expected_reward(env))
     return np.array(trace)

@@ -12,7 +12,7 @@ from ..envs import TaskId, make_env
 from ..policy import load_policy, save_policy
 from .bandit_exp import BanditExperimentConfig, run_bandit_experiment
 from .config import load_config, merge_overrides
-from .generalize import generalization_sweep
+from .generalize import PROBE_LENGTHS, generalization_sweep
 from .grid import run_grid
 from .profiles import MENT_TAUS, UREX_TAUS, make_spec
 from .trace import render_trace
@@ -63,7 +63,7 @@ def cmd_grid(args):
 def cmd_generalize(args):
     policy = "oracle" if args.checkpoint == "oracle" else load_policy(args.checkpoint)
     task = TaskId.parse(args.task)
-    lengths = [l for l in (30, 100, 500, 1000, 2000) if l <= args.max_len]
+    lengths = [l for l in PROBE_LENGTHS if l <= args.max_len]
     record = generalization_sweep(policy, task, lengths=lengths,
                                   episodes_per_length=args.episodes, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)

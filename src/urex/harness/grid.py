@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 
 from ..envs import TaskId
@@ -53,12 +54,26 @@ class GridResult:
 
 
 def _load_manifest(path):
+    """Completed rows by key.  A torn last line, as a kill mid-write leaves,
+    is cut off with a warning so the next row starts on its own line; a
+    malformed line before it raises."""
     done = {}
     if path and os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                row = json.loads(line)
+        with open(path, "r+b") as fh:
+            lines = fh.readlines()
+            for n, line in enumerate(lines, 1):
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError:
+                    if n < len(lines):
+                        raise
+                    warnings.warn(f"{path}: dropping torn last line {n}", RuntimeWarning)
+                    fh.truncate(sum(map(len, lines[:-1])))
+                    break
                 done[row["key"]] = row
+            else:
+                if lines and not lines[-1].endswith(b"\n"):
+                    fh.write(b"\n")
     return done
 
 

@@ -36,8 +36,6 @@ RESTARTS = 5
 MENT_TAUS = (0.0, 0.005, 0.01, 0.1)
 UREX_TAUS = (0.1,)
 
-DESK_TASKS = (TaskId.COPY, TaskId.DUPLICATED_INPUT, TaskId.BANDIT)
-
 
 @dataclass
 class Profile:

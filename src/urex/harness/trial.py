@@ -87,91 +87,75 @@ def is_success(spec: TrialSpec, mean_reward: float, accuracy: float) -> bool:
     return spec.success_threshold is not None and mean_reward >= spec.success_threshold
 
 
-@blas_threads(1)
-def run_trial(spec: TrialSpec, metrics_path=None, env_config=None) -> TrialResult:
-    """Train per ``spec`` until the step budget or first successful
-    evaluation; deterministic given the spec.
-
-    numpy's BLAS is held at one thread for the trial, so its bits do not
-    depend on the thread count the caller runs at (see ``urex.harness.blas``).
-    """
-    if spec.method == "qlearn":
-        return _run_q_trial(spec, metrics_path, env_config)
-
-    factory = env_factory_for(spec, env_config)
+def _policy_gradient_learner(spec: TrialSpec, factory, probe):
     curriculum = None
     if spec.task in TAPE_TASKS:
         curriculum = CurriculumState(window=spec.curriculum_window,
                                      advance_threshold=spec.curriculum_threshold,
                                      length_cap=spec.length_cap)
-    probe_env = factory(0, 2 if spec.task in TAPE_TASKS else None)
-    policy = RecurrentPolicy(probe_env.num_observations, probe_env.action_heads,
-                             spec.hidden_size)
+    policy = RecurrentPolicy(probe.num_observations, probe.action_heads, spec.hidden_size)
     policy.init_params(np.random.Generator(np.random.PCG64(spec.restart_seed)))
     config = TrainConfig(method=spec.method, tau=spec.tau, learning_rate=spec.eta,
-                         clip_norm=spec.clip, k=spec.k, n=spec.n,
-                         max_steps=spec.max_steps, seed=spec.restart_seed)
+                         clip_norm=spec.clip, k=spec.k, n=spec.n, seed=spec.restart_seed)
     trainer = PolicyGradientTrainer(policy, factory, config, curriculum)
+
+    def step():
+        row = trainer.step().record()
+        return row["mean_reward"], row
+
+    return policy, step
+
+
+def _q_learner(spec: TrialSpec, factory, probe):
+    qconf = QConfig(learning_rate=spec.eta, hidden_size=spec.hidden_size,
+                    seed=spec.restart_seed)
+    learner = DoubleQLearner(probe, qconf)
+    env_seed_rng = np.random.Generator(np.random.PCG64(spec.restart_seed))
+    length_rng = np.random.Generator(np.random.PCG64(spec.restart_seed + 1))
+
+    def step():
+        length = None
+        if spec.task in TAPE_TASKS:
+            length = int(length_rng.integers(2, spec.length_cap + 1))
+        row = learner.train_step(factory(int(env_seed_rng.integers(0, 2**63)), length))
+        return row["episode_reward"], row
+
+    return learner, step
+
+
+@blas_threads(1)
+def run_trial(spec: TrialSpec, metrics_path=None, env_config=None) -> TrialResult:
+    """Train per ``spec`` until the step budget or first successful
+    evaluation; deterministic given the spec.
+
+    The method supplies a learner and a step callable returning (training
+    reward, metrics row); the loop around them is the same for every method.
+    numpy's BLAS is held at one thread for the trial, so its bits do not
+    depend on the thread count the caller runs at (see ``urex.harness.blas``).
+    """
+    factory = env_factory_for(spec, env_config)
+    probe = factory(0, 2 if spec.task in TAPE_TASKS else None)
+    probe.reset()
+    make_learner = _q_learner if spec.method == "qlearn" else _policy_gradient_learner
+    learner, train_step = make_learner(spec, factory, probe)
     eval_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([spec.restart_seed, _EVAL_STREAM])))
-
     result = TrialResult(spec_key=spec.key(), success=False, success_step=None,
                          final_expected_reward=float("nan"), steps_run=0)
     sink = open(metrics_path, "w") if metrics_path else None
     try:
         for step in range(1, spec.max_steps + 1):
             try:
-                metrics = trainer.step()
+                reward, row = train_step()
             except PolicyDivergence as err:
                 result.failure_cause = f"divergence: {err}"
                 break
-            result.reward_curve.append(metrics.mean_reward)
-            if metrics.weight_variance is not None:
-                result.weight_variance_curve.append(metrics.weight_variance)
+            result.reward_curve.append(reward)
+            if row.get("weight_variance") is not None:
+                result.weight_variance_curve.append(row["weight_variance"])
             result.steps_run = step
             if sink:
-                sink.write(json.dumps(metrics.record()) + "\n")
-            if step % spec.eval_every == 0 or step == spec.max_steps:
-                mean_reward, accuracy = evaluate_greedy(policy, spec, eval_rng, env_config)
-                result.eval_history.append((step, mean_reward, accuracy))
-                if is_success(spec, mean_reward, accuracy):
-                    result.success = True
-                    result.success_step = step
-                    break
-    finally:
-        if sink:
-            sink.close()
-    tail = result.reward_curve[-FINAL_REWARD_BATCHES:]
-    result.final_expected_reward = float(np.mean(tail)) if tail else float("nan")
-    result.policy = policy
-    return result
-
-
-def _run_q_trial(spec: TrialSpec, metrics_path=None, env_config=None) -> TrialResult:
-    factory = env_factory_for(spec, env_config)
-    qconf = QConfig(learning_rate=spec.eta, hidden_size=spec.hidden_size,
-                    seed=spec.restart_seed)
-    probe = factory(0, 2 if spec.task in TAPE_TASKS else None)
-    probe.reset()
-    learner = DoubleQLearner(probe, qconf)
-    env_seed_rng = np.random.Generator(np.random.PCG64(spec.restart_seed))
-    length_rng = np.random.Generator(np.random.PCG64(spec.restart_seed + 1))
-    eval_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([spec.restart_seed, _EVAL_STREAM])))
-    result = TrialResult(spec_key=spec.key(), success=False, success_step=None,
-                         final_expected_reward=float("nan"), steps_run=0)
-    sink = open(metrics_path, "w") if metrics_path else None
-    try:
-        for step in range(1, spec.max_steps + 1):
-            length = None
-            if spec.task in TAPE_TASKS:
-                length = int(length_rng.integers(2, spec.length_cap + 1))
-            env = factory(int(env_seed_rng.integers(0, 2**63)), length)
-            metrics = learner.train_step(env)
-            result.reward_curve.append(metrics["episode_reward"])
-            result.steps_run = step
-            if sink:
-                sink.write(json.dumps(metrics) + "\n")
+                sink.write(json.dumps(row) + "\n")
             if step % spec.eval_every == 0 or step == spec.max_steps:
                 mean_reward, accuracy = evaluate_greedy(learner, spec, eval_rng, env_config)
                 result.eval_history.append((step, mean_reward, accuracy))

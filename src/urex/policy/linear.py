@@ -71,18 +71,6 @@ class LinearBanditPolicy:
             )
         return trajs
 
-    def greedy(self, env) -> Trajectory:
-        env.restart()
-        logp = self.log_probs(env)
-        arm = int(logp.argmax())
-        clone = env.clone()
-        res = clone.step(arm)
-        return Trajectory(
-            observations=[0], actions=[(arm,)], rewards=[res.reward],
-            total_reward=res.reward, log_prob=float(logp[arm]),
-            env_seed=env.seed, max_total_reward=env.max_total_reward(), cause=res.cause,
-        )
-
     def weighted_logprob(self, trajectories, coefficients, env) -> float:
         logp = self.log_probs(env)
         arms = [t.actions[0][0] for t in trajectories]

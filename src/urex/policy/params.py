@@ -35,17 +35,6 @@ class ParamVector:
         sl, shape = self.segments[name]
         return self.flat[sl].reshape(shape)
 
-    def copy(self) -> "ParamVector":
-        other = ParamVector([(n, shape) for n, (_, shape) in self.segments.items()])
-        other.flat[:] = self.flat
-        return other
-
-    def segment_of(self, index: int) -> str:
-        for name, (sl, _) in self.segments.items():
-            if sl.start <= index < sl.stop:
-                return name
-        raise IndexError(index)
-
     def nonfinite_segments(self, values: np.ndarray | None = None) -> list[str]:
         values = self.flat if values is None else values
         bad = []

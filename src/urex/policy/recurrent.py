@@ -49,7 +49,6 @@ class _StepCache:
 class RolloutCache:
     batch_size: int = 0
     steps: list = field(default_factory=list)
-    lengths: np.ndarray | None = None  # per-trajectory step counts
 
 
 def _sigmoid(z):
@@ -113,10 +112,6 @@ class RecurrentPolicy:
         h = o * tanh_c
         return i, f, o, g, c, tanh_c, h
 
-    def _head_logits(self, name, h):
-        p = self.params
-        return h @ p.view(f"head_{name}_w").T + p.view(f"head_{name}_b")
-
     def _stacked_heads(self):
         """Concatenated head weights for one fused logits matmul."""
         p = self.params
@@ -137,7 +132,56 @@ class RecurrentPolicy:
                 offset += size
         return x
 
-    # -- rollout ------------------------------------------------------------
+    # -- forward pass ---------------------------------------------------------
+    def _forward(self, obs, choose, advance, collect):
+        """Run the rows of ``obs`` (their first observations) in lockstep.
+
+        Each step computes only the still-running rows ``idx``:
+        ``choose(t, idx, logits, probs)`` returns their (n_alive, n_heads)
+        actions from per-head logits and probabilities, and
+        ``advance(t, idx, actions)`` writes their next observations into
+        ``obs`` and returns the rows still running.
+        Returns (per-row log-probs, cache or None).
+        """
+        B = obs.size
+        h = np.zeros((B, self.hidden_size))
+        c = np.zeros((B, self.hidden_size))
+        idx = np.arange(B)
+        prev_actions = None
+        logp_total = np.zeros(B)
+        cache = RolloutCache(batch_size=B) if collect else None
+        w_all, b_all = self._stacked_heads()
+        ends = np.cumsum([size for _, size in self.heads]).tolist()
+        head_cols = [slice(end - size, end) for end, (_, size) in zip(ends, self.heads)]
+        t = 0
+        while idx.size:
+            x = self._encode(obs[idx], None if prev_actions is None else prev_actions[idx])
+            i, f, o, g, c_new, tanh_c, h_new = self._cell(x, h[idx], c[idx])
+            if not np.all(np.isfinite(h_new)):
+                raise PolicyDivergence("non-finite recurrent state in the forward pass")
+            logits_all = h_new @ w_all.T + b_all
+            logits = [logits_all[:, cols] for cols in head_cols]
+            logps = [_log_softmax(z) for z in logits]
+            probs = [np.exp(lp) for lp in logps]
+            actions = choose(t, idx, logits, probs)
+            rows = np.arange(idx.size)
+            logp_step = np.zeros(idx.size)
+            for k, lp in enumerate(logps):
+                logp_step += lp[rows, actions[:, k]]
+            logp_total[idx] += logp_step
+            if collect:
+                cache.steps.append(
+                    _StepCache(x, h[idx], c[idx], i, f, o, g, tanh_c, h_new,
+                               logits, probs, actions, idx)
+                )
+            h[idx] = h_new
+            c[idx] = c_new
+            prev_actions = np.zeros((B, len(self.heads)), dtype=np.int64)
+            prev_actions[idx] = actions
+            idx = advance(t, idx, actions)
+            t += 1
+        return logp_total, cache
+
     def rollout(self, envs, rng=None, greedy=False, eps=None, collect=False):
         """Run one episode per env in lockstep.
 
@@ -156,65 +200,29 @@ class RecurrentPolicy:
             Trajectory(env_seed=env.seed, max_total_reward=env.max_total_reward())
             for env in envs
         ]
-        h = np.zeros((B, self.hidden_size))
-        c = np.zeros((B, self.hidden_size))
-        idx = np.arange(B)
-        prev_actions = None
-        logp_total = np.zeros(B)
-        cache = RolloutCache(batch_size=B) if collect else None
-        n_heads = len(self.heads)
-        w_all, b_all = self._stacked_heads()
-        while idx.size:
-            # only the still-running rows are computed; random draws stay
-            # full-batch so trajectories do not depend on batch compaction
-            x = self._encode(obs[idx], None if prev_actions is None else prev_actions[idx])
-            i, f, o, g, c_new, tanh_c, h_new = self._cell(x, h[idx], c[idx])
-            if not np.all(np.isfinite(h_new)):
-                raise PolicyDivergence("non-finite recurrent state during rollout")
-            n_alive = idx.size
-            rows = np.arange(n_alive)
-            actions_full = np.zeros((B, n_heads), dtype=np.int64)
-            actions = np.zeros((n_alive, n_heads), dtype=np.int64)
-            logits_all = h_new @ w_all.T + b_all
-            if not greedy:
-                u_all = rng.random((B, n_heads))
-            logits_list, probs_list = [], []
-            logp_step = np.zeros(n_alive)
-            off = 0
-            for k, (name, size) in enumerate(self.heads):
-                logits = logits_all[:, off : off + size]
-                off += size
-                logp = _log_softmax(logits)
-                probs = np.exp(logp)
-                if greedy:
-                    a = logits.argmax(axis=1)
-                elif eps is not None:
-                    a = logits.argmax(axis=1)
+
+        def choose(t, idx, logits, probs):
+            if greedy:
+                return np.stack([z.argmax(axis=1) for z in logits], axis=1)
+            # random draws stay full-batch so trajectories do not depend
+            # on batch compaction
+            u_all = rng.random((B, len(self.heads)))
+            actions = np.zeros((idx.size, len(self.heads)), dtype=np.int64)
+            for k, p in enumerate(probs):
+                size = p.shape[1]
+                if eps is not None:
                     randa = rng.integers(0, size, size=B)
-                    a = np.where(u_all[idx, k] < eps, randa[idx], a)
+                    a = np.where(u_all[idx, k] < eps, randa[idx], logits[k].argmax(axis=1))
                 else:
-                    cdf = np.cumsum(probs, axis=1)
                     u = u_all[idx, k][:, None]
-                    a = np.minimum((cdf < u).sum(axis=1), size - 1)
+                    a = np.minimum((np.cumsum(p, axis=1) < u).sum(axis=1), size - 1)
                 actions[:, k] = a
-                logp_step += logp[rows, a]
-                if collect:
-                    logits_list.append(logits)
-                    probs_list.append(probs)
-            actions_full[idx] = actions
-            logp_total[idx] += logp_step
-            if collect:
-                cache.steps.append(
-                    _StepCache(x, h[idx], c[idx], i, f, o, g, tanh_c, h_new,
-                               logits_list, probs_list, actions, idx)
-                )
-            h[idx] = h_new
-            c[idx] = c_new
-            action_rows = actions.tolist()
+            return actions
+
+        def advance(t, idx, actions):
             survivors = []
-            for j, b in enumerate(idx):
+            for b, head_tuple in zip(idx, map(tuple, actions.tolist())):
                 traj = trajs[b]
-                head_tuple = tuple(action_rows[j])
                 res = envs[b].step(envs[b].decode_action(head_tuple))
                 traj.observations.append(int(obs[b]))
                 traj.actions.append(head_tuple)
@@ -224,16 +232,14 @@ class RecurrentPolicy:
                     traj.cause = res.cause
                 else:
                     survivors.append(b)
-            idx = np.array(survivors, dtype=np.int64)
-            prev_actions = actions_full
+            return np.array(survivors, dtype=np.int64)
+
+        logp_total, cache = self._forward(obs, choose, advance, collect)
         for b, traj in enumerate(trajs):
             traj.total_reward = float(sum(traj.rewards))
             traj.log_prob = float(logp_total[b])
-        if collect:
-            cache.lengths = np.array([len(t.actions) for t in trajs])
         return trajs, cache
 
-    # -- teacher-forced replay -------------------------------------------------
     def replay(self, trajectories, collect=False):
         """Recompute per-trajectory log-probs for fixed action sequences.
 
@@ -242,48 +248,20 @@ class RecurrentPolicy:
         B = len(trajectories)
         lengths = np.array([len(t.actions) for t in trajectories])
         T = int(lengths.max())
-        n_heads = len(self.heads)
-        obs_seq = np.zeros((T, B), dtype=np.int64)
-        act_seq = np.zeros((T, B, n_heads), dtype=np.int64)
+        obs_seq = np.zeros((T + 1, B), dtype=np.int64)  # row T: read after the last step
+        act_seq = np.zeros((T, B, len(self.heads)), dtype=np.int64)
         for b, traj in enumerate(trajectories):
-            L = lengths[b]
-            obs_seq[:L, b] = traj.observations
-            act_seq[:L, b] = traj.actions
-        h = np.zeros((B, self.hidden_size))
-        c = np.zeros((B, self.hidden_size))
-        logp_total = np.zeros(B)
-        cache = RolloutCache(batch_size=B) if collect else None
-        w_all, b_all = self._stacked_heads()
-        for t in range(T):
-            idx = np.flatnonzero(t < lengths)
-            prev = act_seq[t - 1][idx] if t > 0 else None
-            x = self._encode(obs_seq[t][idx], prev)
-            i, f, o, g, c_new, tanh_c, h_new = self._cell(x, h[idx], c[idx])
-            actions = act_seq[t][idx]
-            rows = np.arange(idx.size)
-            logits_all = h_new @ w_all.T + b_all
-            logits_list, probs_list = [], []
-            logp_step = np.zeros(idx.size)
-            off = 0
-            for k, (name, size) in enumerate(self.heads):
-                logits = logits_all[:, off : off + size]
-                off += size
-                logp = _log_softmax(logits)
-                logp_step += logp[rows, actions[:, k]]
-                if collect:
-                    logits_list.append(logits)
-                    probs_list.append(np.exp(logp))
-            logp_total[idx] += logp_step
-            if collect:
-                cache.steps.append(
-                    _StepCache(x, h[idx], c[idx], i, f, o, g, tanh_c, h_new,
-                               logits_list, probs_list, actions, idx)
-                )
-            h[idx] = h_new
-            c[idx] = c_new
-        if collect:
-            cache.lengths = lengths
-        return logp_total, cache
+            obs_seq[: lengths[b], b] = traj.observations
+            act_seq[: lengths[b], b] = traj.actions
+        obs = obs_seq[0].copy()
+
+        def advance(t, idx, actions):
+            idx = np.flatnonzero(t + 1 < lengths)
+            obs[idx] = obs_seq[t + 1, idx]
+            return idx
+
+        return self._forward(obs, lambda t, idx, logits, probs: act_seq[t][idx], advance,
+                             collect)
 
     def log_prob(self, trajectory: Trajectory) -> float:
         logp, _ = self.replay([trajectory])

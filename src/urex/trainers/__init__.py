@@ -4,5 +4,5 @@ from .coefficients import (importance_weights, ment_coefficients,
                            urex_coefficients, weight_variance)
 from .optim import AdamState, adam_update, clip_gradient
 from .policy_gradient import (METHODS, PolicyGradientTrainer, StepMetrics,
-                              TrainConfig, group_coefficients, train_step)
-from .qlearning import DoubleQLearner, JointActionView, QConfig, q_train_step
+                              TrainConfig, group_coefficients, update)
+from .qlearning import DoubleQLearner, JointActionView, QConfig

@@ -3,7 +3,8 @@
 One step draws N fresh environment latents, samples K trajectories from
 each (400 samples at the default K=10, N=40), turns the group rewards and
 log-probs into per-trajectory coefficients for the configured method, and
-applies clipped Adam ascent.
+applies clipped Adam ascent.  ``update`` is that step on given envs; the
+method enters only through the coefficients.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class TrainConfig:
     clip_norm: float = 10.0
     k: int = 10
     n: int = 40
-    max_steps: int = 2000
     seed: int = 0
 
     def __post_init__(self):
@@ -86,6 +86,24 @@ def group_coefficients(config: TrainConfig, groups) -> tuple[np.ndarray, float |
     return np.concatenate(coeffs), wvar
 
 
+def update(policy, optim: AdamState, envs, config: TrainConfig, rng):
+    """One update on pre-reset group envs: sample ``config.k`` trajectories
+    per env, weight their log-probs by the method's coefficients, and take
+    a clipped Adam ascent step.
+
+    Returns (groups, coefficients, weight variance, gradient norm before
+    and after clipping).
+    """
+    groups, grad_fn = policy.collect(envs, config.k, rng)
+    coeffs, wvar = group_coefficients(config, groups)
+    grad = grad_fn(coeffs)
+    norm_pre = float(np.linalg.norm(grad))
+    grad = clip_gradient(grad, config.clip_norm)
+    norm_post = float(np.linalg.norm(grad))
+    policy.params.flat[:] = adam_update(policy.params.flat, grad, optim, config.learning_rate)
+    return groups, coeffs, wvar, norm_pre, norm_post
+
+
 class PolicyGradientTrainer:
     """Owns the optimizer state and RNG streams for one training run.
 
@@ -119,15 +137,8 @@ class PolicyGradientTrainer:
             env = self.env_factory(seed, length)
             env.reset()
             envs.append(env)
-        groups, grad_fn = self.policy.collect(envs, cfg.k, self.sample_rng)
-        coeffs, wvar = group_coefficients(cfg, groups)
-        grad = grad_fn(coeffs)
-        norm_pre = float(np.linalg.norm(grad))
-        grad = clip_gradient(grad, cfg.clip_norm)
-        norm_post = float(np.linalg.norm(grad))
-        self.policy.params.flat[:] = adam_update(
-            self.policy.params.flat, grad, self.optim, cfg.learning_rate
-        )
+        groups, coeffs, wvar, norm_pre, norm_post = update(
+            self.policy, self.optim, envs, cfg, self.sample_rng)
         totals = [t.total_reward for group in groups for t in group]
         if self.curriculum is not None:
             for group in groups:
@@ -150,26 +161,3 @@ class PolicyGradientTrainer:
             max_len=None if self.curriculum is None else self.curriculum.current_max_length,
             weight_variance=wvar,
         )
-
-
-def train_step(policy, optim: AdamState, envs, config: TrainConfig, rng) -> StepMetrics:
-    """Single-shot variant operating on pre-reset group envs.
-
-    Convenience wrapper for tests; long runs should use
-    ``PolicyGradientTrainer`` which also owns seed streams and curriculum.
-    """
-    t0 = time.perf_counter()
-    groups, grad_fn = policy.collect(envs, config.k, rng)
-    coeffs, wvar = group_coefficients(config, groups)
-    grad = grad_fn(coeffs)
-    norm_pre = float(np.linalg.norm(grad))
-    grad = clip_gradient(grad, config.clip_norm)
-    policy.params.flat[:] = adam_update(policy.params.flat, grad, optim, config.learning_rate)
-    totals = [t.total_reward for group in groups for t in group]
-    return StepMetrics(
-        step=optim.t, method=config.method, tau=config.tau, eta=config.learning_rate,
-        clip=config.clip_norm, mean_reward=float(np.mean(totals)),
-        coef_mean=float(np.mean(coeffs)), coef_std=float(np.std(coeffs)),
-        grad_norm_pre=norm_pre, grad_norm_post=float(np.linalg.norm(grad)),
-        wall_ms=(time.perf_counter() - t0) * 1e3, weight_variance=wvar,
-    )

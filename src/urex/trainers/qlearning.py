@@ -134,7 +134,3 @@ class DoubleQLearner:
         trajs, _ = self.online.rollout([JointActionView(env)], greedy=True)
         return trajs[0]
 
-
-def q_train_step(learner: DoubleQLearner, env) -> dict:
-    """One collected episode plus one fitted update; returns step metrics."""
-    return learner.train_step(env)

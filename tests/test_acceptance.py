@@ -22,7 +22,7 @@ from urex.harness import BanditExperimentConfig, make_spec, run_bandit_experimen
 from urex.policy import (LinearBanditPolicy, finite_diff_check, policy_for_env,
                          sample_trajectory)
 from urex.trainers import (DoubleQLearner, QConfig, importance_weights,
-                           ment_coefficients, q_train_step, urex_coefficients)
+                           ment_coefficients, urex_coefficients)
 from urex.types import Trajectory
 
 
@@ -273,7 +273,7 @@ def test_criterion_09_q_learning():
     learner = DoubleQLearner(ChainEnv(0), cfg)
     env = ChainEnv(0)
     for _ in range(2500):
-        q_train_step(learner, env)
+        learner.train_step(env)
     chain_err = float(np.abs(chain_q_values(learner) - oracle).max())
 
     solved = 0

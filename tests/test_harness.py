@@ -12,7 +12,7 @@ from urex.envs import TaskId, make_env
 from urex.harness import (GridResult, TrialSpec, evaluate_greedy,
                           generalization_sweep, make_spec, render_trace,
                           run_grid, run_trial)
-from urex.harness import blas
+from urex.harness import blas, grid
 from urex.harness.config import load_config, merge_overrides, parse_value
 from urex.harness.trace import collect_actions
 
@@ -117,6 +117,38 @@ def test_grid_manifest_resume(tmp_path):
     assert successes == sum(first.counts.values())
     csv = first.to_csv()
     assert csv.count("\n") == 1 + len(kw["etas"]) * len(kw["clips"])
+
+
+def test_grid_resumes_after_torn_manifest_line(tmp_path, monkeypatch):
+    manifest = tmp_path / "grid.jsonl"
+    kw = dict(etas=(0.1, 0.01), clips=(1.0,), restarts=2, profile="desk",
+              manifest_path=str(manifest),
+              spec_overrides=dict(max_steps=4, k=2, n=2, hidden_size=4,
+                                  length_cap=2, eval_every=2, eval_episodes=4))
+    first = run_grid(TaskId.COPY, "ment", 0.0, **kw)
+    lines = manifest.read_text().splitlines()
+    # a kill mid-write leaves the last row cut short, without its newline
+    manifest.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
+    rerun = []
+    real_run_trial = grid.run_trial
+    monkeypatch.setattr(grid, "run_trial",
+                        lambda spec: rerun.append(spec.key()) or real_run_trial(spec))
+    with pytest.warns(RuntimeWarning, match="torn last line"):
+        second = run_grid(TaskId.COPY, "ment", 0.0, **kw)
+    assert rerun == [json.loads(lines[-1])["key"]]
+    after = manifest.read_text().splitlines()
+    assert [json.loads(line) for line in after] == [json.loads(line) for line in lines]
+    assert second.counts == first.counts
+
+
+def test_manifest_ends_rows_on_their_own_line_and_rejects_inner_damage(tmp_path):
+    path = tmp_path / "grid.jsonl"
+    path.write_text('{"key": "a"}\n{"key": "b"}')  # complete row, newline not written
+    assert sorted(grid._load_manifest(str(path))) == ["a", "b"]
+    assert path.read_text() == '{"key": "a"}\n{"key": "b"}\n'
+    path.write_text('{"key": "a"}\n{"key": \n{"key": "b"}\n')
+    with pytest.raises(json.JSONDecodeError):
+        grid._load_manifest(str(path))
 
 
 def test_trace_golden_prefix():

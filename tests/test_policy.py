@@ -1,5 +1,6 @@
 """Recurrent and linear policy behavior: log-probs, sampling, decoding."""
 
+import dataclasses
 import math
 import os
 
@@ -37,6 +38,40 @@ def test_recomputed_log_prob_matches_sampled():
     for seed in range(20):
         traj = sample_trajectory(pol, env.clone(), seed)
         assert trajectory_log_prob(pol, traj) == pytest.approx(traj.log_prob, abs=1e-9)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", [{}, {"greedy": True}, {"eps": 0.3}],
+                         ids=["sampled", "greedy", "eps_greedy"])
+def test_rollout_and_replay_give_identical_bits(mode):
+    # Copy has three action heads; mixed input lengths and an untrained
+    # policy end the episodes of one batch at different steps
+    envs = [make_env(TaskId.COPY, seed, (2, 6)) for seed in range(12)]
+    for env in envs:
+        env.reset()
+    pol = policy_for_env(envs[0], hidden_size=16)
+    pol.init_params(np.random.Generator(np.random.PCG64(0)))
+    trajs, rolled = pol.rollout(envs, rng=np.random.Generator(np.random.PCG64(1)),
+                                collect=True, **mode)
+    assert len({len(t.actions) for t in trajs}) > 1
+    logp, replayed = pol.replay(trajs, collect=True)
+    assert same_bits(logp, [t.log_prob for t in trajs])
+    assert rolled.batch_size == replayed.batch_size
+    assert len(rolled.steps) == len(replayed.steps)
+    for a, b in zip(rolled.steps, replayed.steps):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, list):
+                assert len(x) == len(y) and all(map(same_bits, x, y)), f.name
+            else:
+                assert same_bits(x, y), f.name
+    coeffs = np.linspace(-1.0, 1.0, len(trajs))
+    assert same_bits(pol.grad_weighted_logprob(rolled, coeffs),
+                     pol.grad_weighted_logprob(replayed, coeffs))
 
 
 def test_log_prob_additivity_small_case():

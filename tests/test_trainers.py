@@ -9,8 +9,7 @@ from urex.envs.base import COMPLETED, Env, StepResult
 from urex.envs.bandit import BanditEnv
 from urex.policy import LinearBanditPolicy
 from urex.trainers import (AdamState, DoubleQLearner, PolicyGradientTrainer,
-                           QConfig, TrainConfig, adam_update, clip_gradient,
-                           group_coefficients, q_train_step)
+                           QConfig, TrainConfig, update)
 from urex.types import Trajectory
 
 
@@ -59,10 +58,7 @@ def train_two_arm(method, tau, seed, steps=30):
     cfg = TrainConfig(method=method, tau=tau, learning_rate=0.05, clip_norm=10.0, k=10, n=1)
     start = pol.probs(env)[0]
     for _ in range(steps):
-        groups, grad_fn = pol.collect([env], cfg.k, rng)
-        coeffs, _ = group_coefficients(cfg, groups)
-        grad = clip_gradient(grad_fn(coeffs), cfg.clip_norm)
-        pol.params.flat[:] = adam_update(pol.params.flat, grad, optim, cfg.learning_rate)
+        update(pol, optim, [env], cfg, rng)
     return start, pol.probs(env)[0]
 
 
@@ -152,7 +148,7 @@ def test_q_learning_matches_value_iteration():
     learner = DoubleQLearner(ChainEnv(0), cfg)
     env = ChainEnv(0)
     for _ in range(2500):
-        q_train_step(learner, env)
+        learner.train_step(env)
     assert np.abs(chain_q_values(learner) - oracle).max() < 1e-3
 
 
