@@ -12,13 +12,15 @@ from dataclasses import dataclass, field
 
 from .bandit import BanditEnv, bandit_payoffs
 from .base import (COMPLETED, FOUND_QUERY, STEP_LIMIT, WRONG_EMISSION, Env,
-                   EpisodeError, StepResult, replay_trace, trace_line)
-from .oracles import TAPE_ENV_TYPES, oracle_rollout
+                   EpisodeError, RowStepper, StepResult, replay_trace,
+                   trace_line)
+from .oracles import oracle_rollout
 from .search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, BinarySearchEnv,
                      SearchAction, action_from_index, action_index,
                      scripted_binary_search, scripted_linear_search)
-from .tape import (CopyEnv, DuplicatedInputEnv, RepeatCopyEnv, ReverseEnv,
-                   ReversedAdditionEnv, TapeAction, TapeEnv)
+from .tape import (TAPE_ENV_TYPES, CopyEnv, DuplicatedInputEnv, RepeatCopyEnv,
+                   ReverseEnv, ReversedAdditionEnv, TapeAction, TapeEnv,
+                   TapeLockstep, lockstep)
 
 
 class TaskId(enum.Enum):

@@ -103,6 +103,27 @@ class Env:
             raise EpisodeError("step() called on a finished episode")
 
 
+class RowStepper:
+    """Lockstep stepping of B envs through each env's own scalar ``step``.
+
+    Construction restarts every env; ``step(rows, head_actions)`` steps
+    ``envs[rows[i]]`` with the decoded ``head_actions[i]`` and returns
+    (obs, reward, done, cause) arrays over ``rows``.
+    """
+
+    def __init__(self, envs):
+        self.envs = envs
+        self.first_obs = np.array([env.restart() for env in envs], dtype=np.int64)
+
+    def step(self, rows, head_actions):
+        envs = self.envs
+        results = [envs[b].step(envs[b].decode_action(a))
+                   for b, a in zip(rows.tolist(), map(tuple, head_actions.tolist()))]
+        obs, reward, done, cause = zip(*results)
+        return (np.array(obs, dtype=np.int64), np.array(reward, dtype=float),
+                np.array(done, dtype=bool), np.array(cause, dtype=object))
+
+
 def trace_line(t: int, obs: str, action: str, reward: float, done: bool) -> str:
     """One line of the plain-text episode dump: ``t, obs, action, reward, done``."""
     return f"{t}, {obs}, {action}, {reward:g}, {int(done)}"

@@ -5,10 +5,9 @@ from __future__ import annotations
 from ..types import Trajectory
 from .base import Env, EpisodeError
 from .search import BinarySearchEnv, action_index, oracle_search_rollout
-from .tape import (MOVE_LEFT, MOVE_RIGHT, CopyEnv, DuplicatedInputEnv,
-                   RepeatCopyEnv, ReverseEnv, ReversedAdditionEnv, TapeAction)
-
-TAPE_ENV_TYPES = (CopyEnv, DuplicatedInputEnv, RepeatCopyEnv, ReverseEnv, ReversedAdditionEnv)
+from .tape import (MOVE_LEFT, MOVE_RIGHT, TAPE_ENV_TYPES, CopyEnv,
+                   DuplicatedInputEnv, RepeatCopyEnv, ReverseEnv,
+                   ReversedAdditionEnv, TapeAction)
 
 
 def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:

@@ -9,14 +9,18 @@ blank, outside the written region) is observed.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import COMPLETED, STEP_LIMIT, WRONG_EMISSION, Env, StepResult
+from .base import (COMPLETED, STEP_LIMIT, WRONG_EMISSION, Env, EpisodeError,
+                   RowStepper, StepResult)
 
 MOVE_LEFT, MOVE_RIGHT, MOVE_UP, MOVE_DOWN = 0, 1, 2, 3
 _MOVE_NAMES = ("left", "right", "up", "down")
+_ROW_SHIFT = np.array([0, 0, -1, 1])  # indexed by move
+_COL_SHIFT = np.array([-1, 1, 0, 0])
 
 
 class TapeAction(NamedTuple):
@@ -190,3 +194,98 @@ class ReversedAdditionEnv(TapeEnv):
             self.row -= 1
         else:
             self.row += 1
+
+
+TAPE_ENV_TYPES = (CopyEnv, DuplicatedInputEnv, RepeatCopyEnv, ReverseEnv, ReversedAdditionEnv)
+
+_CAUSES = np.array([None, COMPLETED, WRONG_EMISSION, STEP_LIMIT], dtype=object)
+
+
+def _padded(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Int sequences as one zero-padded (len(seqs), longest) array, plus their lengths."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    out = np.zeros((len(seqs), int(lengths.max())), dtype=np.int64)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    return out, lengths
+
+
+class TapeLockstep:
+    """B tape-task episodes stepped together on array state.
+
+    Each row follows ``TapeEnv.step`` exactly: same observations,
+    rewards, termination causes and errors.  A row's tape is stored as
+    its grid's rows laid end to end (one row for the 1-D tasks), read
+    through a (row, col) pointer.  The envs only supply their latent
+    state; they are neither restarted nor stepped.
+    """
+
+    def __init__(self, envs):
+        if not all(env._has_latent for env in envs):
+            raise EpisodeError("reset() must be called before restart()")
+        # clones of one env share its latent's objects: build each latent's arrays once
+        ids = np.fromiter(map(id, [env.target for env in envs]), dtype=np.int64, count=len(envs))
+        _, first, owner = np.unique(ids, return_index=True, return_inverse=True)
+        latents = [envs[b] for b in first.tolist()]
+        grids = [env.grid if type(env) is ReversedAdditionEnv else (env.tape,) for env in latents]
+        cells, _ = _padded([sum(grid, ()) for grid in grids])
+        target, target_len = _padded([env.target for env in latents])
+        self.cells, self.target, self.target_len = cells[owner], target[owner], target_len[owner]
+        self.n_rows = np.array([len(grid) for grid in grids])[owner]
+        self.width = np.array([len(grid[0]) for grid in grids])[owner]
+        self.step_limit = np.array([env.step_limit for env in latents])[owner]
+        self.blank = np.array([env.blank for env in latents])[owner]
+        self.n_moves = np.array([env.n_moves for env in latents])[owner]
+        self.envs = envs
+        B = len(envs)
+        self.row = np.zeros(B, dtype=np.int64)
+        self.col = np.zeros(B, dtype=np.int64)
+        self.emitted = np.zeros(B, dtype=np.int64)
+        self.steps = np.zeros(B, dtype=np.int64)
+        self.done = np.zeros(B, dtype=bool)
+        self.first_obs = self._observe(np.arange(B))
+
+    def _observe(self, rows):
+        row, col, width = self.row[rows], self.col[rows], self.width[rows]
+        inside = (row >= 0) & (row < self.n_rows[rows]) & (col >= 0) & (col < width)
+        cell = np.where(inside, row * width + col, 0)
+        return np.where(inside, self.cells[rows, cell], self.blank[rows])
+
+    def step(self, rows, head_actions):
+        """Step episodes ``rows`` with (move, write, symbol) ``head_actions``;
+        returns (obs, reward, done, cause) arrays over ``rows``."""
+        if self.done[rows].any():
+            raise EpisodeError("step() called on a finished episode")
+        move, write, symbol = head_actions[:, 0], head_actions[:, 1], head_actions[:, 2]
+        bad = (move < 0) | (move >= self.n_moves[rows])
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ValueError(f"move {move[first]} out of range for {self.envs[rows[first]].task}")
+        steps = self.steps[rows] + 1
+        emitted = self.emitted[rows]
+        target_len = self.target_len[rows]
+        expected = self.target[rows, np.minimum(emitted, self.target.shape[1] - 1)]
+        writes = write != 0
+        correct = writes & (emitted < target_len) & (symbol == expected)
+        wrong = writes & ~correct
+        emitted = emitted + correct
+        completed = correct & (emitted == target_len)
+        over = ~(completed | wrong) & (steps >= self.step_limit[rows])
+        reward = np.where(correct, 1.0, np.where(wrong, -0.5, 0.0))
+        reward[over] += -1.0
+        cause = completed + 2 * wrong + 3 * over  # index into _CAUSES
+        done = cause != 0
+        self.steps[rows] = steps
+        self.emitted[rows] = emitted
+        self.done[rows] = done
+        self.row[rows] += _ROW_SHIFT[move]
+        self.col[rows] += _COL_SHIFT[move]
+        return self._observe(rows), reward, done, _CAUSES[cause]
+
+
+def lockstep(envs):
+    """Lockstep stepper for ``envs``: array state when every env is one of
+    the tape tasks, otherwise each env's scalar ``step`` row by row."""
+    if envs and all(type(env) in TAPE_ENV_TYPES for env in envs):
+        return TapeLockstep(envs)
+    return RowStepper(envs)

@@ -10,7 +10,8 @@ import numpy as np
 from ..curriculum import CurriculumState
 from ..envs import TAPE_TASKS, EnvConfig, TaskId, make_env
 from ..policy import PolicyDivergence, RecurrentPolicy
-from ..trainers import DoubleQLearner, PolicyGradientTrainer, QConfig, TrainConfig
+from ..trainers import (DoubleQLearner, JointActionView, PolicyGradientTrainer, QConfig,
+                        TrainConfig)
 from .blas import blas_threads
 from .profiles import TrialSpec
 
@@ -73,12 +74,10 @@ def evaluate_greedy(policy, spec: TrialSpec, eval_rng, env_config=None):
         env.reset()
         envs.append(env)
     if isinstance(policy, DoubleQLearner):
-        trajs = [policy.greedy_episode(env) for env in envs]
-    else:
-        trajs, _ = policy.rollout(envs, greedy=True)
-    totals = np.array([t.total_reward for t in trajs])
-    perfect = np.array([t.total_reward >= t.max_total_reward for t in trajs])
-    return float(totals.mean()), float(perfect.mean())
+        policy, envs = policy.online, [JointActionView(env) for env in envs]
+    batch, _ = policy.rollout(envs, greedy=True)
+    perfect = batch.totals >= batch.max_rewards
+    return float(batch.totals.mean()), float(perfect.mean())
 
 
 def is_success(spec: TrialSpec, mean_reward: float, accuracy: float) -> bool:

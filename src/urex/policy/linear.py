@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..types import Trajectory
+from ..types import Trajectory, TrajectoryBatch
 from .params import ParamVector
 from .recurrent import _log_softmax
 
@@ -53,19 +53,21 @@ class LinearBanditPolicy:
         logp = self.log_probs(env)
         cdf = np.cumsum(np.exp(logp))
         arms = np.minimum(np.searchsorted(cdf, rng.random(k), side="right"), len(cdf) - 1)
+        best = env.max_total_reward()
+        episode = env.clone()  # restarted for each draw: one fresh episode per arm
         trajs = []
-        for arm in arms:
-            clone = env.clone()
-            res = clone.step(int(arm))
+        for arm, arm_logp in zip(arms.tolist(), logp[arms].tolist()):
+            episode.restart()
+            res = episode.step(arm)
             trajs.append(
                 Trajectory(
                     observations=[0],
-                    actions=[(int(arm),)],
+                    actions=[(arm,)],
                     rewards=[res.reward],
                     total_reward=res.reward,
-                    log_prob=float(logp[arm]),
+                    log_prob=arm_logp,
                     env_seed=env.seed,
-                    max_total_reward=env.max_total_reward(),
+                    max_total_reward=best,
                     cause=res.cause,
                 )
             )
@@ -87,6 +89,7 @@ class LinearBanditPolicy:
     # -- collection protocol shared with the recurrent policy -------------------
     def collect(self, group_envs, k: int, rng: np.random.Generator):
         groups = [self.sample(env, rng, k) for env in group_envs]
+        batch = TrajectoryBatch.from_trajectories(t for group in groups for t in group)
 
         def grad_fn(coeffs):
             coeffs = np.asarray(coeffs, dtype=float)
@@ -95,4 +98,4 @@ class LinearBanditPolicy:
                 grad += self.weighted_grad(groups[g], coeffs[g * k : (g + 1) * k], env)
             return grad
 
-        return groups, grad_fn
+        return batch, grad_fn

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..types import Trajectory
+from ..envs import lockstep
+from ..types import Trajectory, TrajectoryBatch
 from .params import ParamVector
 
 INIT_SCALE = 0.08
@@ -187,19 +188,19 @@ class RecurrentPolicy:
 
         Sampling draws each head ancestrally; ``greedy`` takes per-head
         argmax (ties to the lowest index); ``eps`` mixes argmax with
-        uniformly random actions for epsilon-greedy control.
-        Returns (trajectories, cache); the cache is None unless
+        uniformly random actions for epsilon-greedy control.  The envs
+        advance through one lockstep stepper (``urex.envs.lockstep``).
+        Returns (TrajectoryBatch, cache); the cache is None unless
         ``collect`` is set.
         """
         B = len(envs)
         for env in envs:
             if env.num_observations > self.obs_dim:
                 raise ValueError("env observation space exceeds policy input")
-        obs = np.array([env.restart() for env in envs], dtype=np.int64)
-        trajs = [
-            Trajectory(env_seed=env.seed, max_total_reward=env.max_total_reward())
-            for env in envs
-        ]
+        stepper = lockstep(envs)
+        obs = stepper.first_obs.copy()
+        max_rewards = np.array([env.max_total_reward() for env in envs], dtype=float)
+        seeds = np.array([env.seed for env in envs], dtype=object)
 
         def choose(t, idx, logits, probs):
             if greedy:
@@ -219,45 +220,54 @@ class RecurrentPolicy:
                 actions[:, k] = a
             return actions
 
+        steps = []  # per lockstep step: (rows, observations, actions, rewards, causes)
+
         def advance(t, idx, actions):
-            survivors = []
-            for b, head_tuple in zip(idx, map(tuple, actions.tolist())):
-                traj = trajs[b]
-                res = envs[b].step(envs[b].decode_action(head_tuple))
-                traj.observations.append(int(obs[b]))
-                traj.actions.append(head_tuple)
-                traj.rewards.append(res.reward)
-                obs[b] = res.obs
-                if res.done:
-                    traj.cause = res.cause
-                else:
-                    survivors.append(b)
-            return np.array(survivors, dtype=np.int64)
+            next_obs, reward, done, cause = stepper.step(idx, actions)
+            steps.append((idx, obs[idx], actions, reward, cause))
+            running = ~done
+            alive = idx[running]
+            obs[alive] = next_obs[running]
+            return alive
 
         logp_total, cache = self._forward(obs, choose, advance, collect)
-        for b, traj in enumerate(trajs):
-            traj.total_reward = float(sum(traj.rewards))
-            traj.log_prob = float(logp_total[b])
-        return trajs, cache
+        T = len(steps)
+        observations = np.zeros((T, B), dtype=np.int64)
+        actions = np.zeros((T, B, len(self.heads)), dtype=np.int64)
+        rewards = np.zeros((T, B))
+        lengths = np.zeros(B, dtype=np.int64)
+        causes = np.full(B, None, dtype=object)
+        for t, (rows, o, a, r, c) in enumerate(steps):
+            observations[t, rows] = o
+            actions[t, rows] = a
+            rewards[t, rows] = r
+            lengths[rows] = t + 1  # a row's last step is its terminal one
+            causes[rows] = c
+        totals = np.zeros(B)
+        for r in rewards:  # in step order, as sum(rewards); padding adds 0.0
+            totals += r
+        batch = TrajectoryBatch(observations.T, actions.transpose(1, 0, 2), rewards.T, lengths,
+                                totals, logp_total, max_rewards, seeds, causes)
+        return batch, cache
 
     def replay(self, trajectories, collect=False):
-        """Recompute per-trajectory log-probs for fixed action sequences.
+        """Recompute per-trajectory log-probs for fixed action sequences,
+        given as a TrajectoryBatch or a list of trajectories.
 
         Returns (log_probs array, cache or None).
         """
-        B = len(trajectories)
-        lengths = np.array([len(t.actions) for t in trajectories])
-        T = int(lengths.max())
-        obs_seq = np.zeros((T + 1, B), dtype=np.int64)  # row T: read after the last step
-        act_seq = np.zeros((T, B, len(self.heads)), dtype=np.int64)
-        for b, traj in enumerate(trajectories):
-            obs_seq[: lengths[b], b] = traj.observations
-            act_seq[: lengths[b], b] = traj.actions
+        batch = trajectories
+        if not isinstance(batch, TrajectoryBatch):
+            batch = TrajectoryBatch.from_trajectories(trajectories)
+        lengths = batch.lengths
+        obs_seq = batch.observations.T  # (T, B)
+        act_seq = batch.actions.transpose(1, 0, 2)
         obs = obs_seq[0].copy()
 
         def advance(t, idx, actions):
             idx = np.flatnonzero(t + 1 < lengths)
-            obs[idx] = obs_seq[t + 1, idx]
+            if idx.size:
+                obs[idx] = obs_seq[t + 1, idx]
             return idx
 
         return self._forward(obs, lambda t, idx, logits, probs: act_seq[t][idx], advance,
@@ -351,13 +361,10 @@ class RecurrentPolicy:
     def collect(self, group_envs, k: int, rng: np.random.Generator):
         """Sample k trajectories per group env (same latent state within a group).
 
-        Returns (groups, grad_fn) where groups is a list of trajectory
-        lists and grad_fn maps flat per-trajectory coefficients to the
-        gradient of the coefficient-weighted log-prob sum.
+        Returns (batch, grad_fn): the TrajectoryBatch holds group ``i`` in
+        rows ``i*k .. i*k + k - 1``, and grad_fn maps flat per-trajectory
+        coefficients to the gradient of the coefficient-weighted log-prob sum.
         """
-        clones = []
-        for env in group_envs:
-            clones.extend(env.clone() for _ in range(k))
-        trajs, cache = self.rollout(clones, rng=rng, collect=True)
-        groups = [trajs[i * k : (i + 1) * k] for i in range(len(group_envs))]
-        return groups, lambda coeffs: self.grad_weighted_logprob(cache, coeffs)
+        clones = [env.clone() for env in group_envs for _ in range(k)]
+        batch, cache = self.rollout(clones, rng=rng, collect=True)
+        return batch, lambda coeffs: self.grad_weighted_logprob(cache, coeffs)

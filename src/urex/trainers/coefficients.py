@@ -9,6 +9,10 @@ the weights differ:
   by 1/N, where ``r_hat`` is the group-mean-centered reward and ``w_hat``
   the self-normalized importance weights ``softmax(r / tau - log_prob)``
   (deliberately not mean-centered).
+
+Every function takes one group as 1-D arrays of K values, or N groups at
+once as (N, K) arrays, and works along the last axis; each row of an
+(N, K) result equals the 1-D result for that group.
 """
 
 from __future__ import annotations
@@ -34,31 +38,31 @@ def importance_weights(rewards, log_probs, tau: float) -> np.ndarray:
     _check_finite("rewards", rewards)
     _check_finite("log_probs", log_probs)
     z = rewards / tau - log_probs
-    z -= z.max()
+    z -= z.max(axis=-1, keepdims=True)
     w = np.exp(z)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def urex_coefficients(rewards, log_probs, tau: float, *, num_groups: int = 1,
                       center_rewards: bool = True) -> np.ndarray:
-    """Coefficients for one group of K trajectories sharing a latent state.
+    """Coefficients for groups of K trajectories, each sharing a latent state.
 
     ``center_rewards=False`` drops the mean-reward baseline (used by the
     estimator-expectation tests, where the baseline's small finite-K bias
     would obscure the comparison).
     """
     rewards = np.asarray(rewards, dtype=float)
-    k = rewards.size
+    k = rewards.shape[-1]
     if k < 2 and center_rewards:
         raise ValueError("reward centering needs K >= 2")
-    r_hat = rewards - rewards.mean() if center_rewards else rewards
+    r_hat = rewards - rewards.mean(axis=-1, keepdims=True) if center_rewards else rewards
     w_hat = importance_weights(rewards, log_probs, tau)
     return (r_hat / k + tau * w_hat) / num_groups
 
 
 def ment_coefficients(rewards, log_probs, tau: float, *, num_groups: int = 1,
                       center: bool = True) -> np.ndarray:
-    """Entropy-regularized REINFORCE coefficients for one group.
+    """Entropy-regularized REINFORCE coefficients for groups of K trajectories.
 
     At tau=0 with centering this is REINFORCE with a mean-reward baseline.
     """
@@ -66,16 +70,17 @@ def ment_coefficients(rewards, log_probs, tau: float, *, num_groups: int = 1,
     log_probs = np.asarray(log_probs, dtype=float)
     _check_finite("rewards", rewards)
     _check_finite("log_probs", log_probs)
-    k = rewards.size
+    k = rewards.shape[-1]
     if k < 2 and center:
         raise ValueError("centering needs K >= 2")
     raw = rewards - tau * log_probs - tau
     if center:
-        raw = raw - raw.mean()
+        raw = raw - raw.mean(axis=-1, keepdims=True)
     return raw / (num_groups * k)
 
 
-def weight_variance(weights) -> float:
-    """Population variance of one group's normalized importance weights."""
-    weights = np.asarray(weights, dtype=float)
-    return float(np.var(weights))
+def weight_variance(weights):
+    """Population variance of each group's normalized importance weights:
+    a float for one group, an (N,) array for N groups."""
+    var = np.var(np.asarray(weights, dtype=float), axis=-1)
+    return float(var) if var.ndim == 0 else var

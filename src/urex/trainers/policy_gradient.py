@@ -65,25 +65,19 @@ class StepMetrics:
         return row
 
 
-def group_coefficients(config: TrainConfig, groups) -> tuple[np.ndarray, float | None]:
-    """Flat coefficient vector for a list of trajectory groups.
+def group_coefficients(config: TrainConfig, rewards, log_probs) -> tuple[np.ndarray, float | None]:
+    """Flat coefficient vector for N groups of K trajectories, from their
+    (N, K) total rewards and log-probs.
 
     Also returns the mean importance-weight variance across groups when
     the method uses importance weights.
     """
-    n = len(groups)
-    coeffs = []
-    variances = []
-    for group in groups:
-        rewards = np.array([t.total_reward for t in group])
-        log_probs = np.array([t.log_prob for t in group])
-        if config.method == "urex":
-            coeffs.append(urex_coefficients(rewards, log_probs, config.tau, num_groups=n))
-            variances.append(weight_variance(importance_weights(rewards, log_probs, config.tau)))
-        else:
-            coeffs.append(ment_coefficients(rewards, log_probs, config.tau, num_groups=n))
-    wvar = float(np.mean(variances)) if variances else None
-    return np.concatenate(coeffs), wvar
+    n = rewards.shape[0]
+    if config.method == "urex":
+        coeffs = urex_coefficients(rewards, log_probs, config.tau, num_groups=n)
+        variances = weight_variance(importance_weights(rewards, log_probs, config.tau))
+        return coeffs.ravel(), float(np.mean(variances))
+    return ment_coefficients(rewards, log_probs, config.tau, num_groups=n).ravel(), None
 
 
 def update(policy, optim: AdamState, envs, config: TrainConfig, rng):
@@ -91,17 +85,19 @@ def update(policy, optim: AdamState, envs, config: TrainConfig, rng):
     per env, weight their log-probs by the method's coefficients, and take
     a clipped Adam ascent step.
 
-    Returns (groups, coefficients, weight variance, gradient norm before
-    and after clipping).
+    Returns (TrajectoryBatch, coefficients, weight variance, gradient norm
+    before and after clipping).
     """
-    groups, grad_fn = policy.collect(envs, config.k, rng)
-    coeffs, wvar = group_coefficients(config, groups)
+    batch, grad_fn = policy.collect(envs, config.k, rng)
+    shape = (len(envs), config.k)
+    coeffs, wvar = group_coefficients(config, batch.totals.reshape(shape),
+                                      batch.log_probs.reshape(shape))
     grad = grad_fn(coeffs)
     norm_pre = float(np.linalg.norm(grad))
     grad = clip_gradient(grad, config.clip_norm)
     norm_post = float(np.linalg.norm(grad))
     policy.params.flat[:] = adam_update(policy.params.flat, grad, optim, config.learning_rate)
-    return groups, coeffs, wvar, norm_pre, norm_post
+    return batch, coeffs, wvar, norm_pre, norm_post
 
 
 class PolicyGradientTrainer:
@@ -137,14 +133,11 @@ class PolicyGradientTrainer:
             env = self.env_factory(seed, length)
             env.reset()
             envs.append(env)
-        groups, coeffs, wvar, norm_pre, norm_post = update(
+        batch, coeffs, wvar, norm_pre, norm_post = update(
             self.policy, self.optim, envs, cfg, self.sample_rng)
-        totals = [t.total_reward for group in groups for t in group]
         if self.curriculum is not None:
-            for group in groups:
-                for traj in group:
-                    self.curriculum.record_episode(traj.total_reward, traj.max_total_reward,
-                                                   level)
+            for total, best in zip(batch.totals.tolist(), batch.max_rewards.tolist()):
+                self.curriculum.record_episode(total, best, level)
         self.step_count += 1
         return StepMetrics(
             step=self.step_count,
@@ -152,7 +145,7 @@ class PolicyGradientTrainer:
             tau=cfg.tau,
             eta=cfg.learning_rate,
             clip=cfg.clip_norm,
-            mean_reward=float(np.mean(totals)),
+            mean_reward=float(np.mean(batch.totals)),
             coef_mean=float(np.mean(coeffs)),
             coef_std=float(np.std(coeffs)),
             grad_norm_pre=norm_pre,

@@ -93,19 +93,19 @@ class DoubleQLearner:
         view = JointActionView(env)
         view.reset()
         eps = self.config.epsilon(self.updates)
-        trajs, cache = self.online.rollout([view], rng=self.rng, eps=eps, collect=True)
-        traj = trajs[0]
-        T = len(traj.actions)
+        batch, cache = self.online.rollout([view], rng=self.rng, eps=eps, collect=True)
+        T = int(batch.lengths[0])
+        rewards = batch.rewards[0, :T]
         gamma = self.config.discount
         q_online = np.array([cache.steps[t].logits[0][0] for t in range(T)])
-        _, target_cache = self.target.replay([traj], collect=True)
+        _, target_cache = self.target.replay(batch, collect=True)
         q_target = np.array([target_cache.steps[t].logits[0][0] for t in range(T)])
         targets = np.empty(T)
         for t in range(T - 1):
             best_next = int(q_online[t + 1].argmax())
-            targets[t] = traj.rewards[t] + gamma * q_target[t + 1, best_next]
-        targets[T - 1] = traj.rewards[T - 1]
-        taken = np.array([a[0] for a in traj.actions])
+            targets[t] = rewards[t] + gamma * q_target[t + 1, best_next]
+        targets[T - 1] = rewards[T - 1]
+        taken = batch.actions[0, :T, 0]
         residual = q_online[np.arange(T), taken] - targets
 
         def dlogits_fn(t, st):
@@ -126,7 +126,7 @@ class DoubleQLearner:
             "step": self.updates,
             "epsilon": eps,
             "loss": float(np.mean(residual**2)),
-            "episode_reward": traj.total_reward,
+            "episode_reward": float(batch.totals[0]),
             "episode_len": T,
         }
 

@@ -109,3 +109,19 @@ def test_weight_variance_values():
         hot = np.zeros(k)
         hot[0] = 1.0
         assert 0.0 <= v <= weight_variance(hot) + 1e-15
+
+
+@pytest.mark.parametrize("k", [2, 7, 10, 33])
+@pytest.mark.parametrize("fn", [
+    lambda r, lp: importance_weights(r, lp, 0.1),
+    lambda r, lp: urex_coefficients(r, lp, 0.1, num_groups=20),
+    lambda r, lp: ment_coefficients(r, lp, 0.01, num_groups=20),
+    lambda r, lp: weight_variance(importance_weights(r, lp, 0.5)),
+], ids=["importance_weights", "urex", "ment", "weight_variance"])
+def test_group_axis_matches_per_group_calls(fn, k):
+    # one (N, K) call gives each group's 1-D result bit for bit
+    rng = np.random.default_rng(k)
+    rewards = rng.normal(size=(20, k)).round(1)
+    log_probs = -rng.exponential(scale=5.0, size=(20, k))
+    per_group = [fn(r, lp) for r, lp in zip(rewards, log_probs)]
+    assert np.array_equal(fn(rewards, log_probs), per_group)

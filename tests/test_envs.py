@@ -1,10 +1,15 @@
 """Environment semantics: determinism, rewards, termination, latent shapes."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from urex.envs import (COMPLETED, STEP_LIMIT, WRONG_EMISSION, EnvConfig,
-                       TaskId, make_env, oracle_rollout, replay_trace)
+                       RowStepper, TapeLockstep, TaskId, lockstep, make_env,
+                       oracle_rollout, replay_trace)
 from urex.envs.base import EpisodeError
 from urex.envs.search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, OP_AVG,
                               OP_CMP, OP_DIV, OP_INC, SearchAction)
@@ -214,3 +219,90 @@ def test_trace_dump_format():
     first = lines[0].split(", ")
     assert first[0] == "1" and first[3] == "1" and first[4] == "0"
     assert lines[-1].endswith(", 1")  # done flag on the final step
+
+
+# -- lockstep stepper against the scalar env ------------------------------------
+# One planned step per row: (move, kind, symbol).  "silent" writes nothing,
+# "correct" emits the next target symbol, "random" emits ``symbol``, "skip"
+# leaves the row out of this lockstep step.  Rows past their plan walk
+# right silently until the step limit ends them.
+STEP_KINDS = ("silent", "correct", "random", "skip")
+STEP_PLANS = st.lists(st.tuples(st.integers(-1, 4), st.sampled_from(STEP_KINDS), st.integers(0, 4)),
+                      max_size=40)
+
+
+@pytest.mark.parametrize("task", TAPE_TASKS)
+@given(seed=st.integers(0, 2**32 - 1), plans=st.lists(STEP_PLANS, min_size=1, max_size=4))
+@example(seed=0, plans=[[(3, "silent", 0)] * 40, [(1, "correct", 0)] * 40, [(2, "random", 4)] * 3])
+@example(seed=1, plans=[[(0, "silent", 0)] * 4 + [(1, "correct", 0)] * 40, [(1, "skip", 0)] * 5])
+def test_lockstep_matches_scalar_env(task, seed, plans):
+    envs = [make_env(task, seed + i, (2, 5)) for i in range(len(plans))]
+    for env in envs:
+        env.reset()
+    stepper = TapeLockstep(envs)
+    scalar = [env.clone() for env in envs]
+    assert stepper.first_obs.tolist() == [env.restart() for env in scalar]
+    t = 0
+    while not all(env.done for env in scalar):
+        rows, actions = [], []
+        for b, env in enumerate(scalar):
+            move, kind, symbol = plans[b][t] if t < len(plans[b]) else (MOVE_RIGHT, "silent", 0)
+            if env.done or kind == "skip":
+                continue
+            if kind == "correct":
+                symbol = env.target[env.emitted]
+            rows.append(b)
+            actions.append(TapeAction(move % env.n_moves, int(kind != "silent"), symbol % env.base))
+        t += 1
+        if not rows:
+            continue
+        obs, reward, done, cause = stepper.step(np.array(rows), np.array(actions))
+        for i, b in enumerate(rows):
+            expect = scalar[b].step(actions[i])
+            assert (obs[i], reward[i], done[i], cause[i]) == tuple(expect)
+    assert stepper.done.all()
+    with pytest.raises(EpisodeError):
+        stepper.step(np.array([0]), np.array([TapeAction(MOVE_RIGHT, 0, 0)]))
+
+
+@pytest.mark.parametrize("task", TAPE_TASKS)
+def test_lockstep_rejects_out_of_range_move_like_scalar_env(task):
+    envs = [make_env(task, seed, (3, 3)) for seed in range(3)]
+    for env in envs:
+        env.reset()
+    for move in (-1, envs[1].n_moves):
+        actions = np.array([TapeAction(MOVE_RIGHT, 0, 0), TapeAction(move, 0, 0),
+                            TapeAction(MOVE_LEFT, 0, 0)])
+        with pytest.raises(ValueError) as scalar_err:
+            envs[1].clone().step(TapeAction(move, 0, 0))
+        with pytest.raises(ValueError, match=re.escape(str(scalar_err.value))):
+            TapeLockstep(envs).step(np.arange(3), actions)
+
+
+@pytest.mark.parametrize("task", TAPE_TASKS)
+def test_lockstep_correct_emission_on_the_limit_step(task):
+    # the +1 of a correct, non-final emission and the -1 of the limit add up
+    env = make_env(task, 5, (4, 4))
+    env.reset()
+    stepper, scalar = TapeLockstep([env]), env.clone()
+    for t in range(env.step_limit):
+        action = TapeAction(MOVE_RIGHT, int(t == env.step_limit - 1), env.target[0])
+        expect = scalar.step(action)
+        obs, reward, done, cause = stepper.step(np.array([0]), np.array([action]))
+        assert (obs[0], reward[0], done[0], cause[0]) == tuple(expect)
+    assert expect.reward == 0.0 and expect.cause == STEP_LIMIT
+
+
+def test_lockstep_requires_reset_envs():
+    env = make_env(TaskId.COPY, 3, (3, 3))
+    with pytest.raises(EpisodeError):
+        TapeLockstep([env])
+
+
+def test_lockstep_uses_arrays_only_for_tape_envs():
+    tape = [make_env(task, 1, (3, 3)) for task in TAPE_TASKS]
+    search = make_env(TaskId.BINARY_SEARCH, 1)
+    for env in tape + [search]:
+        env.reset()
+    assert isinstance(lockstep(tape), TapeLockstep)
+    assert isinstance(lockstep(tape + [search]), RowStepper)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from urex.envs import EnvConfig, TaskId, make_env
+from urex.envs import TAPE_TASKS, EnvConfig, EpisodeError, TaskId, make_env
 from urex.envs.bandit import BanditEnv
 from urex.policy import (LinearBanditPolicy, RecurrentPolicy, greedy_rollout,
                          load_policy, policy_for_env, sample_trajectory,
@@ -45,6 +45,18 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_same_caches(rolled, replayed):
+    assert rolled.batch_size == replayed.batch_size
+    assert len(rolled.steps) == len(replayed.steps)
+    for a, b in zip(rolled.steps, replayed.steps):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, list):
+                assert len(x) == len(y) and all(map(same_bits, x, y)), f.name
+            else:
+                assert same_bits(x, y), f.name
+
+
 @pytest.mark.parametrize("mode", [{}, {"greedy": True}, {"eps": 0.3}],
                          ids=["sampled", "greedy", "eps_greedy"])
 def test_rollout_and_replay_give_identical_bits(mode):
@@ -60,18 +72,56 @@ def test_rollout_and_replay_give_identical_bits(mode):
     assert len({len(t.actions) for t in trajs}) > 1
     logp, replayed = pol.replay(trajs, collect=True)
     assert same_bits(logp, [t.log_prob for t in trajs])
-    assert rolled.batch_size == replayed.batch_size
-    assert len(rolled.steps) == len(replayed.steps)
-    for a, b in zip(rolled.steps, replayed.steps):
-        for f in dataclasses.fields(a):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            if isinstance(x, list):
-                assert len(x) == len(y) and all(map(same_bits, x, y)), f.name
-            else:
-                assert same_bits(x, y), f.name
+    assert_same_caches(rolled, replayed)
     coeffs = np.linspace(-1.0, 1.0, len(trajs))
     assert same_bits(pol.grad_weighted_logprob(rolled, coeffs),
                      pol.grad_weighted_logprob(replayed, coeffs))
+
+
+@pytest.mark.parametrize("task", TAPE_TASKS)
+def test_tape_rollout_rows_match_scalar_env_replay(task):
+    envs = [make_env(task, seed, (2, 6)) for seed in range(16)]
+    for env in envs:
+        env.reset()
+    pol = policy_for_env(envs[0], hidden_size=8)
+    pol.init_params(np.random.Generator(np.random.PCG64(2)))
+    batch, _ = pol.rollout(envs, rng=np.random.Generator(np.random.PCG64(3)))
+    assert len(batch) == len(envs)
+    for env, traj in zip(envs, batch):
+        clone = env.clone()
+        obs = clone.restart()
+        observations, rewards = [], []
+        for action in traj.actions:
+            observations.append(obs)
+            res = clone.step(action)
+            rewards.append(res.reward)
+            obs = res.obs
+        assert res.done and res.cause == traj.cause
+        assert traj.observations == observations and traj.rewards == rewards
+        assert same_bits(traj.total_reward, float(sum(rewards)))
+        assert traj.max_total_reward == env.max_total_reward()
+        assert traj.env_seed == env.seed
+
+
+@pytest.mark.parametrize("task", [TaskId.COPY, TaskId.BINARY_SEARCH])
+def test_rollout_on_env_never_reset_raises(task):
+    env = make_env(task, 3)
+    pol = policy_for_env(env, hidden_size=4)
+    with pytest.raises(EpisodeError):
+        pol.rollout([env], greedy=True)
+
+
+def test_replay_of_batch_and_of_its_trajectories_agree():
+    envs = [make_env(TaskId.REVERSED_ADDITION, seed, (2, 5)) for seed in range(10)]
+    for env in envs:
+        env.reset()
+    pol = policy_for_env(envs[0], hidden_size=8)
+    pol.init_params(np.random.Generator(np.random.PCG64(4)))
+    batch, _ = pol.rollout(envs, rng=np.random.Generator(np.random.PCG64(5)), eps=0.5)
+    logp_batch, cache_batch = pol.replay(batch, collect=True)
+    logp_list, cache_list = pol.replay(list(batch), collect=True)
+    assert same_bits(logp_batch, logp_list)
+    assert_same_caches(cache_batch, cache_list)
 
 
 def test_log_prob_additivity_small_case():
