@@ -7,7 +7,7 @@ double Q-learning baseline, all on the same recurrent policy network.
 """
 
 from . import analysis, curriculum, envs, harness, policy, trainers
-from .types import GradientEstimate, Trajectory
+from .types import Trajectory
 
 __all__ = [
     "analysis",
@@ -16,7 +16,6 @@ __all__ = [
     "harness",
     "policy",
     "trainers",
-    "GradientEstimate",
     "Trajectory",
 ]
 

@@ -1,14 +1,13 @@
 """Task registry: deterministic, seedable episodic environments.
 
-Every environment is fully determined by ``(task, seed, length_range,
-config)``: identical constructions replayed with identical action
-sequences produce identical observation and reward sequences.
+Every environment is fully determined by ``(task, seed, length_range)``:
+identical constructions replayed with identical action sequences produce
+identical observation and reward sequences.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .bandit import BanditEnv, bandit_payoffs
 from .base import (COMPLETED, FOUND_QUERY, STEP_LIMIT, WRONG_EMISSION, Env,
@@ -63,22 +62,6 @@ SUCCESS_THRESHOLDS = {
 TRAIN_LENGTH_RANGE = (2, 33)
 SEARCH_N_RANGE = (32, 512)
 
-
-@dataclass
-class EnvConfig:
-    """Per-task knobs with documented defaults."""
-
-    base_alphabet: int = 5  # symbol alphabet for the four 1-D tape tasks
-    addition_base: int = 3
-    step_limit_factor: int = 4
-    step_limit_offset: int = 4
-    search_n_range: tuple = SEARCH_N_RANGE
-    bandit_actions: int = 10_000
-    bandit_dim: int = 30
-    bandit_beta: float = 8.0
-    thresholds: dict = field(default_factory=lambda: dict(SUCCESS_THRESHOLDS))
-
-
 _TAPE_CLASSES = {
     TaskId.COPY: CopyEnv,
     TaskId.DUPLICATED_INPUT: DuplicatedInputEnv,
@@ -88,28 +71,20 @@ _TAPE_CLASSES = {
 }
 
 
-def make_env(task: TaskId, seed: int, length_range=None, config: EnvConfig | None = None) -> Env:
+def make_env(task: TaskId, seed: int, length_range=None) -> Env:
     """Build an unreset environment for ``task``.
 
     ``length_range`` bounds the hidden input length for tape tasks (the
     training curriculum keeps it inside [2, 33]; evaluation may go
     longer) and the array size for the search task.
     """
-    config = config or EnvConfig()
     if task in _TAPE_CLASSES:
-        cls = _TAPE_CLASSES[task]
-        length_range = length_range or TRAIN_LENGTH_RANGE
-        base = config.addition_base if task is TaskId.REVERSED_ADDITION else config.base_alphabet
-        env = cls(seed, length_range, base=base,
-                  limit_factor=config.step_limit_factor,
-                  limit_offset=config.step_limit_offset)
+        env = _TAPE_CLASSES[task](seed, length_range or TRAIN_LENGTH_RANGE)
     elif task is TaskId.BINARY_SEARCH:
-        env = BinarySearchEnv(seed, length_range or config.search_n_range)
+        env = BinarySearchEnv(seed, length_range or SEARCH_N_RANGE)
     elif task is TaskId.BANDIT:
-        env = BanditEnv(seed, num_actions=config.bandit_actions,
-                        beta=config.bandit_beta, dim=config.bandit_dim)
+        env = BanditEnv(seed)
     else:
         raise ValueError(f"unknown task {task!r}")
     env.task = task
     return env
-

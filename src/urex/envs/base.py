@@ -28,8 +28,8 @@ class Env:
 
     Subclasses fill in ``_draw_latent`` (consume the seed stream),
     ``_begin`` (zero per-episode state, return the first observation)
-    and ``step``.  The latent state is frozen between ``restart`` calls
-    so that K rollouts can share one hidden instance.
+    and ``step``.  The latent state changes only on ``reset``, so K
+    rollouts can read one env.
     """
 
     task = None
@@ -67,7 +67,6 @@ class Env:
         other = self.__class__.__new__(self.__class__)
         other.__dict__.update(self.__dict__)
         other._stream = None  # clones share the latent but not the seed stream
-        other._copy_latent(self)
         other.restart()
         return other
 
@@ -88,9 +87,6 @@ class Env:
     def _begin(self) -> int:
         raise NotImplementedError
 
-    def _copy_latent(self, src: "Env") -> None:
-        """Deep-copy any mutable latent containers; immutable ones may be shared."""
-
     # -- formatting ------------------------------------------------------------
     def action_str(self, action) -> str:
         return str(action)
@@ -106,14 +102,15 @@ class Env:
 class RowStepper:
     """Lockstep stepping of B envs through each env's own scalar ``step``.
 
-    Construction restarts every env; ``step(rows, head_actions)`` steps
-    ``envs[rows[i]]`` with the decoded ``head_actions[i]`` and returns
-    (obs, reward, done, cause) arrays over ``rows``.
+    Each row steps its own clone, so the envs given are never mutated and
+    may repeat; ``step(rows, head_actions)`` steps row ``rows[i]`` with
+    the decoded ``head_actions[i]`` and returns (obs, reward, done, cause)
+    arrays over ``rows``.
     """
 
     def __init__(self, envs):
-        self.envs = envs
-        self.first_obs = np.array([env.restart() for env in envs], dtype=np.int64)
+        self.envs = [env.clone() for env in envs]
+        self.first_obs = np.array([env.restart() for env in self.envs], dtype=np.int64)
 
     def step(self, rows, head_actions):
         envs = self.envs

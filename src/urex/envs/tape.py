@@ -34,16 +34,13 @@ class TapeEnv(Env):
 
     n_moves = 2
 
-    def __init__(self, seed: int, length_range: tuple[int, int], base: int = 5,
-                 limit_factor: int = 4, limit_offset: int = 4):
+    def __init__(self, seed: int, length_range: tuple[int, int], base: int = 5):
         super().__init__(seed)
         lo, hi = int(length_range[0]), int(length_range[1])
         if lo < 2 or hi < lo:
             raise ValueError(f"bad length range {length_range!r}")
         self.length_range = (lo, hi)
         self.base = int(base)
-        self.limit_factor = limit_factor
-        self.limit_offset = limit_offset
         self.num_observations = self.base + 1  # symbols plus blank
         self.action_heads = (("move", self.n_moves), ("write", 2), ("out", self.base))
 
@@ -57,7 +54,7 @@ class TapeEnv(Env):
         self.input_length = int(stream.integers(lo, hi + 1))
         self._make_tape(stream)
         self.target = self._make_target()
-        self.step_limit = self.limit_factor * self.input_length + self.limit_offset
+        self.step_limit = 4 * self.input_length + 4
 
     def _make_tape(self, stream):
         self.tape = tuple(int(s) for s in stream.integers(0, self.base, size=self.input_length))
@@ -154,8 +151,8 @@ class ReversedAdditionEnv(TapeEnv):
 
     n_moves = 4
 
-    def __init__(self, seed, length_range, base: int = 3, **kw):
-        super().__init__(seed, length_range, base=base, **kw)
+    def __init__(self, seed, length_range, base: int = 3):
+        super().__init__(seed, length_range, base=base)
 
     def _make_tape(self, stream):
         self.grid = tuple(
@@ -223,8 +220,8 @@ class TapeLockstep:
     def __init__(self, envs):
         if not all(env._has_latent for env in envs):
             raise EpisodeError("reset() must be called before restart()")
-        # clones of one env share its latent's objects: build each latent's arrays once
-        ids = np.fromiter(map(id, [env.target for env in envs]), dtype=np.int64, count=len(envs))
+        # a batch passes each group env K times: build each distinct env's arrays once
+        ids = np.fromiter(map(id, envs), dtype=np.int64, count=len(envs))
         _, first, owner = np.unique(ids, return_index=True, return_inverse=True)
         latents = [envs[b] for b in first.tolist()]
         grids = [env.grid if type(env) is ReversedAdditionEnv else (env.tape,) for env in latents]

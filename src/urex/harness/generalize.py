@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..envs import EnvConfig, TaskId, make_env, oracle_rollout
+from ..envs import TaskId, make_env, oracle_rollout
 
 PROBE_LENGTHS = (30, 100, 500, 1000, 2000)
 MAX_PROBE_LENGTH = 2000
@@ -28,10 +28,10 @@ class GeneralizationRecord:
         return "\n".join(out) + "\n"
 
 
-def _count_correct(policy, task, length, episodes, seed_rng, env_config):
+def _count_correct(policy, task, length, episodes, seed_rng):
     envs = []
     for _ in range(episodes):
-        env = make_env(task, int(seed_rng.integers(0, 2**63)), (length, length), env_config)
+        env = make_env(task, int(seed_rng.integers(0, 2**63)), (length, length))
         env.reset()
         envs.append(env)
     if policy == "oracle":
@@ -43,8 +43,7 @@ def _count_correct(policy, task, length, episodes, seed_rng, env_config):
 
 def generalization_sweep(policy, task: TaskId, lengths=PROBE_LENGTHS,
                          episodes_per_length: int = 100, seed: int = 0,
-                         refine: bool = True, env_config: EnvConfig | None = None
-                         ) -> GeneralizationRecord:
+                         refine: bool = True) -> GeneralizationRecord:
     """Probe each length with fresh random instances, greedy decoding.
 
     Probing stops at the first length with any mistake; ``refine`` then
@@ -57,7 +56,7 @@ def generalization_sweep(policy, task: TaskId, lengths=PROBE_LENGTHS,
     last_perfect = 0
     first_imperfect = None
     for length in sorted(lengths):
-        correct = _count_correct(policy, task, length, episodes_per_length, seed_rng, env_config)
+        correct = _count_correct(policy, task, length, episodes_per_length, seed_rng)
         record.rows.append((length, correct))
         if correct == episodes_per_length:
             last_perfect = length
@@ -68,7 +67,7 @@ def generalization_sweep(policy, task: TaskId, lengths=PROBE_LENGTHS,
         lo, hi = last_perfect, first_imperfect  # accuracy perfect at lo, not at hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            correct = _count_correct(policy, task, mid, episodes_per_length, seed_rng, env_config)
+            correct = _count_correct(policy, task, mid, episodes_per_length, seed_rng)
             if correct == episodes_per_length:
                 lo = mid
             else:

@@ -1,8 +1,9 @@
 """Hyper-parameter grid over learning rate and clip norm with random restarts.
 
-Completed trials are appended to a JSONL manifest keyed by the trial spec,
-so an interrupted grid resumes without re-running finished work and the
-success-count table is always reconstructible from the manifest alone.
+Completed trials are appended to a JSONL manifest, each row with its full
+trial spec, so an interrupted grid resumes without re-running finished work,
+a row run under a different spec is never reused, and the success-count
+table is always reconstructible from the manifest alone.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..envs import TaskId
 from .profiles import CLIPS, ETAS, RESTARTS, make_spec
@@ -92,12 +93,10 @@ def run_grid(task: TaskId, method: str, tau: float, *, etas=ETAS, clips=CLIPS,
                     spec = make_spec(task, method, tau, eta=eta, clip=clip,
                                      restart_seed=restart, profile=profile,
                                      **(spec_overrides or {}))
-                    key = spec.key()
-                    if key in done:
-                        row = done[key]
-                    else:
-                        trial = run_trial(spec)
-                        row = trial.record()
+                    recorded = {**asdict(spec), "task": spec.task.value}
+                    row = done.get(spec.key())
+                    if row is None or row.get("spec") != recorded:
+                        row = {**run_trial(spec).record(), "spec": recorded}
                         if sink:
                             sink.write(json.dumps(row) + "\n")
                             sink.flush()

@@ -77,8 +77,6 @@ class TrialSpec:
     success_threshold: float | None = None
     eval_every: int = 50
     eval_episodes: int = 100
-    curriculum_window: int = 100
-    curriculum_threshold: float = 0.95
     profile: str = "full"
 
     def key(self) -> str:

@@ -9,16 +9,15 @@ from ..policy.recurrent import RecurrentPolicy
 
 
 def collect_actions(env, actor, strategy: str = "binary"):
-    """Run ``actor`` on a clone of ``env`` and return its env-native actions."""
-    clone = env.clone()
+    """Run ``actor`` on a fresh episode of ``env`` and return its env-native actions."""
     if actor == "oracle":
-        traj = oracle_rollout(clone, strategy)
+        traj = oracle_rollout(env, strategy)
     elif isinstance(actor, RecurrentPolicy):
-        trajs, _ = actor.rollout([clone], greedy=True)
+        trajs, _ = actor.rollout([env], greedy=True)
         traj = trajs[0]
     else:
         raise ValueError(f"cannot trace actor {actor!r}")
-    return [clone.decode_action(a) for a in traj.actions]
+    return [env.decode_action(a) for a in traj.actions]
 
 
 def render_trace(env, actor="oracle", strategy: str = "binary") -> str:

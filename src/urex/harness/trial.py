@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..curriculum import CurriculumState
-from ..envs import TAPE_TASKS, EnvConfig, TaskId, make_env
-from ..policy import PolicyDivergence, RecurrentPolicy
+from ..envs import TAPE_TASKS, TaskId, make_env
+from ..policy import PolicyDivergence, policy_for_env
 from ..trainers import (DoubleQLearner, JointActionView, PolicyGradientTrainer, QConfig,
                         TrainConfig)
 from .blas import blas_threads
@@ -44,26 +44,25 @@ class TrialResult:
         return row
 
 
-def env_factory_for(spec: TrialSpec, env_config: EnvConfig | None = None):
-    cfg = env_config or EnvConfig()
+def env_factory_for(spec: TrialSpec):
     task = spec.task
     if task in TAPE_TASKS:
         def factory(seed, length):
             length_range = (length, length) if length else (2, spec.length_cap)
-            return make_env(task, seed, length_range, cfg)
+            return make_env(task, seed, length_range)
     elif task is TaskId.BINARY_SEARCH:
         def factory(seed, length=None):
-            return make_env(task, seed, cfg.search_n_range, cfg)
+            return make_env(task, seed)
     else:
         raise ValueError(f"run_trial does not handle task {task}; "
                          "use run_bandit_experiment for the bandit")
     return factory
 
 
-def evaluate_greedy(policy, spec: TrialSpec, eval_rng, env_config=None):
+def evaluate_greedy(policy, spec: TrialSpec, eval_rng):
     """Greedy decoding over eval_episodes random instances across the
     configured length range; returns (mean_reward, accuracy)."""
-    factory = env_factory_for(spec, env_config)
+    factory = env_factory_for(spec)
     envs = []
     for _ in range(spec.eval_episodes):
         seed = int(eval_rng.integers(0, 2**63))
@@ -89,10 +88,8 @@ def is_success(spec: TrialSpec, mean_reward: float, accuracy: float) -> bool:
 def _policy_gradient_learner(spec: TrialSpec, factory, probe):
     curriculum = None
     if spec.task in TAPE_TASKS:
-        curriculum = CurriculumState(window=spec.curriculum_window,
-                                     advance_threshold=spec.curriculum_threshold,
-                                     length_cap=spec.length_cap)
-    policy = RecurrentPolicy(probe.num_observations, probe.action_heads, spec.hidden_size)
+        curriculum = CurriculumState(length_cap=spec.length_cap)
+    policy = policy_for_env(probe, spec.hidden_size)
     policy.init_params(np.random.Generator(np.random.PCG64(spec.restart_seed)))
     config = TrainConfig(method=spec.method, tau=spec.tau, learning_rate=spec.eta,
                          clip_norm=spec.clip, k=spec.k, n=spec.n, seed=spec.restart_seed)
@@ -123,7 +120,7 @@ def _q_learner(spec: TrialSpec, factory, probe):
 
 
 @blas_threads(1)
-def run_trial(spec: TrialSpec, metrics_path=None, env_config=None) -> TrialResult:
+def run_trial(spec: TrialSpec, metrics_path=None) -> TrialResult:
     """Train per ``spec`` until the step budget or first successful
     evaluation; deterministic given the spec.
 
@@ -132,7 +129,7 @@ def run_trial(spec: TrialSpec, metrics_path=None, env_config=None) -> TrialResul
     numpy's BLAS is held at one thread for the trial, so its bits do not
     depend on the thread count the caller runs at (see ``urex.harness.blas``).
     """
-    factory = env_factory_for(spec, env_config)
+    factory = env_factory_for(spec)
     probe = factory(0, 2 if spec.task in TAPE_TASKS else None)
     probe.reset()
     make_learner = _q_learner if spec.method == "qlearn" else _policy_gradient_learner
@@ -156,7 +153,7 @@ def run_trial(spec: TrialSpec, metrics_path=None, env_config=None) -> TrialResul
             if sink:
                 sink.write(json.dumps(row) + "\n")
             if step % spec.eval_every == 0 or step == spec.max_steps:
-                mean_reward, accuracy = evaluate_greedy(learner, spec, eval_rng, env_config)
+                mean_reward, accuracy = evaluate_greedy(learner, spec, eval_rng)
                 result.eval_history.append((step, mean_reward, accuracy))
                 if is_success(spec, mean_reward, accuracy):
                     result.success = True

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..types import GradientEstimate, Trajectory
+from ..types import Trajectory
 from .gradcheck import finite_diff_check
 from .linear import LinearBanditPolicy
 from .params import ParamVector, load_checkpoint, save_checkpoint
@@ -21,35 +21,6 @@ def sample_trajectory(policy: RecurrentPolicy, env, rng_seed: int) -> Trajectory
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     trajs, _ = policy.rollout([env], rng=rng)
     return trajs[0]
-
-
-def greedy_rollout(policy: RecurrentPolicy, env) -> Trajectory:
-    """Decode one episode by per-head argmax (ties go to the lowest index)."""
-    trajs, _ = policy.rollout([env], greedy=True)
-    return trajs[0]
-
-
-def trajectory_log_prob(policy: RecurrentPolicy, trajectory: Trajectory) -> float:
-    return policy.log_prob(trajectory)
-
-
-def weighted_logprob_grad(policy, batch, coefficients, env=None) -> GradientEstimate:
-    """Gradient of sum over trajectories of coeff * log pi(actions | latent).
-
-    ``batch`` may be a flat trajectory list or a list of groups; the
-    coefficients follow the same flattening order.
-    """
-    trajs = list(batch)
-    if trajs and isinstance(trajs[0], list):
-        trajs = [t for group in trajs for t in group]
-    coeffs = np.asarray(coefficients, dtype=float).ravel()
-    if len(coeffs) != len(trajs):
-        raise ValueError("one coefficient per trajectory required")
-    if env is not None:
-        values = policy.weighted_grad(trajs, coeffs, env)
-    else:
-        values = policy.weighted_grad(trajs, coeffs)
-    return GradientEstimate(values=values, sample_count=len(trajs))
 
 
 def save_policy(path, policy) -> None:

@@ -188,8 +188,9 @@ class RecurrentPolicy:
 
         Sampling draws each head ancestrally; ``greedy`` takes per-head
         argmax (ties to the lowest index); ``eps`` mixes argmax with
-        uniformly random actions for epsilon-greedy control.  The envs
-        advance through one lockstep stepper (``urex.envs.lockstep``).
+        uniformly random actions for epsilon-greedy control.  The envs,
+        which must be reset and may repeat, are only read: the episodes
+        advance in one lockstep stepper (``urex.envs.lockstep``).
         Returns (TrajectoryBatch, cache); the cache is None unless
         ``collect`` is set.
         """
@@ -365,6 +366,6 @@ class RecurrentPolicy:
         rows ``i*k .. i*k + k - 1``, and grad_fn maps flat per-trajectory
         coefficients to the gradient of the coefficient-weighted log-prob sum.
         """
-        clones = [env.clone() for env in group_envs for _ in range(k)]
-        batch, cache = self.rollout(clones, rng=rng, collect=True)
+        envs = [env for env in group_envs for _ in range(k)]
+        batch, cache = self.rollout(envs, rng=rng, collect=True)
         return batch, lambda coeffs: self.grad_weighted_logprob(cache, coeffs)

@@ -94,15 +94,3 @@ class TrajectoryBatch:
             seeds=np.array([t.env_seed for t in trajs], dtype=object),
             causes=np.array([t.cause for t in trajs], dtype=object),
         )
-
-
-@dataclass
-class GradientEstimate:
-    """Flat parameter-shaped gradient plus the number of trajectories used."""
-
-    values: np.ndarray
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("non-finite gradient estimate")

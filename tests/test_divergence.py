@@ -7,7 +7,6 @@ import pytest
 
 from urex.envs import TaskId, make_env
 from urex.policy import PolicyDivergence, policy_for_env, sample_trajectory
-from urex.types import GradientEstimate
 
 
 def test_nan_logits_abort_rollout():
@@ -29,8 +28,3 @@ def test_nonfinite_gradient_names_segment():
         warnings.simplefilter("ignore", RuntimeWarning)  # inf math precedes the raise
         with pytest.raises(PolicyDivergence, match="head_|lstm_"):
             pol.weighted_grad([traj], [np.inf])
-
-
-def test_gradient_estimate_requires_finite():
-    with pytest.raises(FloatingPointError):
-        GradientEstimate(values=np.array([1.0, np.nan]), sample_count=1)

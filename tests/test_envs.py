@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from urex.envs import (COMPLETED, STEP_LIMIT, WRONG_EMISSION, EnvConfig,
+from urex.envs import (COMPLETED, STEP_LIMIT, WRONG_EMISSION, BanditEnv,
                        RowStepper, TapeLockstep, TaskId, lockstep, make_env,
                        oracle_rollout, replay_trace)
 from urex.envs.base import EpisodeError
@@ -128,9 +128,8 @@ def test_reverse_small_case():
 
 
 def test_reversed_addition_grid():
-    cfg = EnvConfig()
     for seed in range(50):
-        env = make_env(TaskId.REVERSED_ADDITION, seed, (2, 12), cfg)
+        env = make_env(TaskId.REVERSED_ADDITION, seed, (2, 12))
         env.reset()
         assert len(env.grid) == 2
         assert all(d in (0, 1, 2) for row in env.grid for d in row)
@@ -194,7 +193,7 @@ def test_bandit_payoffs_shape_and_range():
 
 
 def test_bandit_step():
-    env = make_env(TaskId.BANDIT, 8, config=EnvConfig(bandit_actions=16))
+    env = BanditEnv(8, num_actions=16)
     env.reset()
     res = env.step((3,))
     assert res.done and res.reward == env.payoffs[3]

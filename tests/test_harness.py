@@ -141,6 +141,31 @@ def test_grid_resumes_after_torn_manifest_line(tmp_path, monkeypatch):
     assert second.counts == first.counts
 
 
+def test_grid_rerun_with_a_different_spec_reruns_every_trial(tmp_path, monkeypatch):
+    manifest = tmp_path / "grid.jsonl"
+    overrides = dict(max_steps=4, k=2, n=2, hidden_size=4, length_cap=2, eval_every=2,
+                     eval_episodes=4)
+    kw = dict(etas=(0.1, 0.01), clips=(1.0,), restarts=2, profile="desk",
+              manifest_path=str(manifest))
+    first = run_grid(TaskId.COPY, "ment", 0.0, spec_overrides=overrides, **kw)
+    rerun = []
+    real_run_trial = grid.run_trial
+    monkeypatch.setattr(grid, "run_trial",
+                        lambda spec: rerun.append(spec.key()) or real_run_trial(spec))
+    second = run_grid(TaskId.COPY, "ment", 0.0, spec_overrides=dict(overrides, max_steps=3),
+                      **kw)
+    keys = [row["key"] for row in first.trials]
+    assert rerun == keys
+    assert [row["spec"]["max_steps"] for row in second.trials] == [3] * 4
+    assert max(row["steps_run"] for row in second.trials) <= 3
+    # rows that record no spec, as older manifests hold, rerun too
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    manifest.write_text("".join(json.dumps({k: v for k, v in row.items() if k != "spec"}) + "\n"
+                                for row in rows))
+    run_grid(TaskId.COPY, "ment", 0.0, spec_overrides=dict(overrides, max_steps=3), **kw)
+    assert rerun == keys + keys
+
+
 def test_manifest_ends_rows_on_their_own_line_and_rejects_inner_damage(tmp_path):
     path = tmp_path / "grid.jsonl"
     path.write_text('{"key": "a"}\n{"key": "b"}')  # complete row, newline not written

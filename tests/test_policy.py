@@ -1,5 +1,6 @@
 """Recurrent and linear policy behavior: log-probs, sampling, decoding."""
 
+import copy
 import dataclasses
 import math
 import os
@@ -7,12 +8,11 @@ import os
 import numpy as np
 import pytest
 
-from urex.envs import TAPE_TASKS, EnvConfig, EpisodeError, TaskId, make_env
+from urex.envs import TAPE_TASKS, Env, EpisodeError, TaskId, make_env
 from urex.envs.bandit import BanditEnv
-from urex.policy import (LinearBanditPolicy, RecurrentPolicy, greedy_rollout,
-                         load_policy, policy_for_env, sample_trajectory,
-                         save_policy, trajectory_log_prob,
-                         weighted_logprob_grad)
+from urex.policy import (LinearBanditPolicy, RecurrentPolicy, load_policy,
+                         policy_for_env, sample_trajectory, save_policy)
+from urex.trainers import JointActionView
 
 
 def make_copy_policy(hidden=8, seed=0, length=4):
@@ -37,7 +37,7 @@ def test_recomputed_log_prob_matches_sampled():
     env, pol = make_copy_policy(hidden=16)
     for seed in range(20):
         traj = sample_trajectory(pol, env.clone(), seed)
-        assert trajectory_log_prob(pol, traj) == pytest.approx(traj.log_prob, abs=1e-9)
+        assert pol.log_prob(traj) == pytest.approx(traj.log_prob, abs=1e-9)
 
 
 def same_bits(a, b):
@@ -111,6 +111,69 @@ def test_rollout_on_env_never_reset_raises(task):
         pol.rollout([env], greedy=True)
 
 
+def env_state(env):
+    """Deep copy of an env's attributes, with its seed stream as its state."""
+    env = getattr(env, "_env", env)  # Q-learning's joint-action view
+    state = {k: v for k, v in vars(env).items() if k != "_stream"}
+    return copy.deepcopy(state), env._stream.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["Copy", "BinarySearch", "Copy-joint"])
+def test_rollout_leaves_its_envs_untouched(kind):
+    task = TaskId.BINARY_SEARCH if kind == "BinarySearch" else TaskId.COPY
+    env = make_env(task, 5)
+    env.reset()
+    if kind == "Copy-joint":
+        env = JointActionView(env)
+    pol = policy_for_env(env, hidden_size=4)
+    pol.init_params(np.random.Generator(np.random.PCG64(0)))
+    before = env_state(env)
+    pol.rollout([env, env], greedy=True)
+    assert env_state(env) == before
+
+
+@pytest.mark.parametrize("task", TAPE_TASKS)
+def test_collect_on_tape_envs_makes_no_clone(task, monkeypatch):
+    envs = [make_env(task, seed, (2, 5)) for seed in range(20)]
+    for env in envs:
+        env.reset()
+    pol = policy_for_env(envs[0], hidden_size=4)
+    pol.init_params(np.random.Generator(np.random.PCG64(0)))
+    clones = []
+    real_clone = Env.clone
+    monkeypatch.setattr(Env, "clone", lambda env: clones.append(env) or real_clone(env))
+    batch, _ = pol.collect(envs, 10, np.random.Generator(np.random.PCG64(1)))
+    assert len(batch) == 200 and clones == []
+
+
+def assert_same_batches(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x.dtype == object:
+            assert x.tolist() == y.tolist(), f.name
+        else:
+            assert same_bits(x, y), f.name
+
+
+@pytest.mark.parametrize("task", [TaskId.DUPLICATED_INPUT, TaskId.BINARY_SEARCH])
+def test_rollout_over_references_matches_rollout_over_clones(task):
+    envs = [make_env(task, seed, (2, 6) if task in TAPE_TASKS else (8, 16)) for seed in range(3)]
+    for env in envs:
+        env.reset()
+    pol = policy_for_env(envs[0], hidden_size=8)
+    pol.init_params(np.random.Generator(np.random.PCG64(2)))
+    k = 5
+    runs = []
+    for batch_envs in ([env for env in envs for _ in range(k)],
+                       [env.clone() for env in envs for _ in range(k)]):
+        runs.append(pol.rollout(batch_envs, rng=np.random.Generator(np.random.PCG64(3)),
+                                collect=True))
+    (refs, refs_cache), (clones, clones_cache) = runs
+    assert len(set(refs.lengths.tolist())) > 1
+    assert_same_batches(refs, clones)
+    assert_same_caches(refs_cache, clones_cache)
+
+
 def test_replay_of_batch_and_of_its_trajectories_agree():
     envs = [make_env(TaskId.REVERSED_ADDITION, seed, (2, 5)) for seed in range(10)]
     for env in envs:
@@ -152,17 +215,17 @@ def test_greedy_tie_breaks_to_lowest_index():
     env = make_env(TaskId.COPY, 5, (3, 3))
     env.reset()
     pol = policy_for_env(env, hidden_size=4)  # zero params: all logits equal
-    traj = greedy_rollout(pol, env.clone())
+    (traj,), _ = pol.rollout([env], greedy=True)
     assert all(a == (0, 0, 0) for a in traj.actions)
 
 
 def test_greedy_invariant_under_logit_rescaling():
     env, pol = make_copy_policy(hidden=8, seed=4)
-    base = greedy_rollout(pol, env.clone())
+    (base,), _ = pol.rollout([env], greedy=True)
     for name in ("move", "write", "out"):
         pol.params.view(f"head_{name}_w")[:] *= 3.0
         pol.params.view(f"head_{name}_b")[:] *= 3.0
-    scaled = greedy_rollout(pol, env.clone())
+    (scaled,), _ = pol.rollout([env], greedy=True)
     assert base.actions == scaled.actions
 
 
@@ -195,25 +258,14 @@ def test_recurrent_sampling_chi_square():
 def test_weighted_grad_linearity_and_zero():
     env, pol = make_copy_policy(hidden=8)
     trajs = [sample_trajectory(pol, env.clone(), s) for s in range(4)]
-    zero = weighted_logprob_grad(pol, trajs, np.zeros(4))
-    assert np.array_equal(zero.values, np.zeros(pol.params.size))
+    zero = pol.weighted_grad(trajs, np.zeros(4))
+    assert np.array_equal(zero, np.zeros(pol.params.size))
     c1 = np.array([0.5, -1.0, 2.0, 0.25])
     c2 = np.array([1.5, 0.5, -0.75, 1.0])
-    g1 = weighted_logprob_grad(pol, trajs, c1).values
-    g2 = weighted_logprob_grad(pol, trajs, c2).values
-    g12 = weighted_logprob_grad(pol, trajs, c1 + c2).values
+    g1 = pol.weighted_grad(trajs, c1)
+    g2 = pol.weighted_grad(trajs, c2)
+    g12 = pol.weighted_grad(trajs, c1 + c2)
     assert np.max(np.abs(g1 + g2 - g12)) < 1e-10
-
-
-def test_grouped_batch_flattening():
-    env, pol = make_copy_policy(hidden=8)
-    groups = [[sample_trajectory(pol, env.clone(), s) for s in range(2)] for _ in range(3)]
-    flat = [t for g in groups for t in g]
-    coeffs = np.arange(6, dtype=float) / 10
-    a = weighted_logprob_grad(pol, groups, coeffs)
-    b = weighted_logprob_grad(pol, flat, coeffs)
-    assert np.array_equal(a.values, b.values)
-    assert a.sample_count == 6
 
 
 def test_checkpoint_roundtrip_byte_identical(tmp_path):
@@ -229,7 +281,7 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     # recomputation after the round trip is bit-identical
     traj = sample_trajectory(pol, env.clone(), 0)
-    assert trajectory_log_prob(loaded, traj) == trajectory_log_prob(pol, traj)
+    assert loaded.log_prob(traj) == pol.log_prob(traj)
 
 
 def test_linear_policy_log_prob_and_grad():
