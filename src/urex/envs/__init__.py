@@ -18,8 +18,8 @@ from .search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, BinarySearchEnv,
                      SearchAction, action_from_index, action_index,
                      scripted_binary_search, scripted_linear_search)
 from .tape import (TAPE_ENV_TYPES, CopyEnv, DuplicatedInputEnv, RepeatCopyEnv,
-                   ReverseEnv, ReversedAdditionEnv, TapeAction, TapeEnv,
-                   TapeLockstep, lockstep)
+                   ReverseEnv, ReversedAdditionEnv, TapeAction, TapeEnv, TapeLatents,
+                   TapeLockstep, lockstep, repeat_envs)
 
 
 class TaskId(enum.Enum):
@@ -88,3 +88,9 @@ def make_env(task: TaskId, seed: int, length_range=None) -> Env:
         raise ValueError(f"unknown task {task!r}")
     env.task = task
     return env
+
+
+def draw_latents(task: TaskId, seeds, length_ranges) -> TapeLatents:
+    """The reset envs ``make_env(task, seed, length_range)`` gives for each
+    seed and range of a tape task, drawn straight into arrays."""
+    return TapeLatents.draw(task, _TAPE_CLASSES[task], seeds, length_ranges)

@@ -111,6 +111,9 @@ class RowStepper:
     def __init__(self, envs):
         self.envs = [env.clone() for env in envs]
         self.first_obs = np.array([env.restart() for env in self.envs], dtype=np.int64)
+        self.num_observations = max(env.num_observations for env in self.envs)
+        self.max_rewards = np.array([env.max_total_reward() for env in self.envs], dtype=float)
+        self.seeds = np.array([env.seed for env in self.envs], dtype=object)
 
     def step(self, rows, head_actions):
         envs = self.envs

@@ -40,7 +40,7 @@ def cmd_run(args):
                      clip=float(conf.get("clip", 10.0)), restart_seed=int(conf.get("seed", 0)),
                      profile=conf.get("profile", "full"), **overrides)
     os.makedirs(args.out, exist_ok=True)
-    stem = spec.key().replace("/", "_")
+    stem = spec.stem()
     result = run_trial(spec, metrics_path=os.path.join(args.out, f"{stem}.jsonl"))
     if result.policy is not None and hasattr(result.policy, "params"):
         save_policy(os.path.join(args.out, f"{stem}.ckpt"), result.policy)
@@ -51,9 +51,9 @@ def cmd_grid(args):
     conf = _gather(args, ["task", "method", "tau", "profile"])
     task = TaskId.parse(conf["task"])
     os.makedirs(args.out, exist_ok=True)
-    stem = f"grid_{task.value}_{conf['method']}_tau{conf['tau']}"
-    result = run_grid(task, conf["method"], float(conf["tau"]),
-                      profile=conf.get("profile", "full"),
+    profile = conf.get("profile", "full")
+    stem = f"grid_{task.value}_{conf['method']}_tau{conf['tau']}_{profile}"
+    result = run_grid(task, conf["method"], float(conf["tau"]), profile=profile,
                       manifest_path=os.path.join(args.out, f"{stem}.jsonl"))
     with open(os.path.join(args.out, f"{stem}.csv"), "w") as fh:
         fh.write(result.to_csv())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..envs import TaskId
 from .profiles import CLIPS, ETAS, RESTARTS, make_spec
@@ -93,7 +93,7 @@ def run_grid(task: TaskId, method: str, tau: float, *, etas=ETAS, clips=CLIPS,
                     spec = make_spec(task, method, tau, eta=eta, clip=clip,
                                      restart_seed=restart, profile=profile,
                                      **(spec_overrides or {}))
-                    recorded = {**asdict(spec), "task": spec.task.value}
+                    recorded = spec.record()
                     row = done.get(spec.key())
                     if row is None or row.get("spec") != recorded:
                         row = {**run_trial(spec).record(), "spec": recorded}

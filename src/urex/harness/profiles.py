@@ -12,7 +12,9 @@ DuplicatedInput are documented as full-profile-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, replace
 
 from ..envs import SUCCESS_THRESHOLDS, TAPE_TASKS, TaskId
 
@@ -84,6 +86,16 @@ class TrialSpec:
             f"{self.task.value}/{self.method}/tau{self.tau:g}/eta{self.eta:g}"
             f"/clip{self.clip:g}/seed{self.restart_seed}"
         )
+
+    def record(self) -> dict:
+        """Every field, with the task by name: what a manifest row records."""
+        return {**asdict(self), "task": self.task.value}
+
+    def stem(self) -> str:
+        """File stem for the trial's outputs: the key, plus a short hash of
+        the full spec, so specs that share a key never share files."""
+        blob = json.dumps(self.record(), sort_keys=True).encode()
+        return f"{self.key().replace('/', '_')}_{hashlib.sha256(blob).hexdigest()[:10]}"
 
 
 def make_spec(task: TaskId, method: str, tau: float, eta: float = 0.01,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..curriculum import CurriculumState
-from ..envs import TAPE_TASKS, TaskId, make_env
+from ..envs import TAPE_TASKS, TaskId, draw_latents, make_env
 from ..policy import PolicyDivergence, policy_for_env
 from ..trainers import (DoubleQLearner, JointActionView, PolicyGradientTrainer, QConfig,
                         TrainConfig)
@@ -44,34 +44,51 @@ class TrialResult:
         return row
 
 
+class _TapeFactory:
+    """Tape-task envs for a spec: ``factory(seed, length)`` makes one
+    unreset env, ``factory.latents(seeds, lengths)`` draws a batch of
+    reset ones into arrays.  A length of None means the spec's range."""
+
+    def __init__(self, task, length_cap):
+        self.task, self.length_cap = task, length_cap
+
+    def _range(self, length):
+        return (length, length) if length else (2, self.length_cap)
+
+    def __call__(self, seed, length):
+        return make_env(self.task, seed, self._range(length))
+
+    def latents(self, seeds, lengths):
+        return draw_latents(self.task, seeds, [self._range(length) for length in lengths])
+
+
 def env_factory_for(spec: TrialSpec):
     task = spec.task
     if task in TAPE_TASKS:
-        def factory(seed, length):
-            length_range = (length, length) if length else (2, spec.length_cap)
-            return make_env(task, seed, length_range)
-    elif task is TaskId.BINARY_SEARCH:
+        return _TapeFactory(task, spec.length_cap)
+    if task is TaskId.BINARY_SEARCH:
         def factory(seed, length=None):
             return make_env(task, seed)
-    else:
-        raise ValueError(f"run_trial does not handle task {task}; "
-                         "use run_bandit_experiment for the bandit")
-    return factory
+        return factory
+    raise ValueError(f"run_trial does not handle task {task}; "
+                     "use run_bandit_experiment for the bandit")
 
 
 def evaluate_greedy(policy, spec: TrialSpec, eval_rng):
     """Greedy decoding over eval_episodes random instances across the
     configured length range; returns (mean_reward, accuracy)."""
     factory = env_factory_for(spec)
-    envs = []
+    seeds, lengths = [], []
     for _ in range(spec.eval_episodes):
-        seed = int(eval_rng.integers(0, 2**63))
-        length = None
-        if spec.task in TAPE_TASKS:
-            length = int(eval_rng.integers(2, spec.length_cap + 1))
-        env = factory(seed, length)
-        env.reset()
-        envs.append(env)
+        seeds.append(int(eval_rng.integers(0, 2**63)))
+        lengths.append(int(eval_rng.integers(2, spec.length_cap + 1))
+                       if spec.task in TAPE_TASKS else None)
+    if spec.task in TAPE_TASKS:
+        envs = factory.latents(seeds, lengths)
+    else:
+        envs = [factory(seed, length) for seed, length in zip(seeds, lengths)]
+        for env in envs:
+            env.reset()
     if isinstance(policy, DoubleQLearner):
         policy, envs = policy.online, [JointActionView(env) for env in envs]
     batch, _ = policy.rollout(envs, greedy=True)

@@ -6,7 +6,11 @@ import numpy as np
 
 from ..types import Trajectory, TrajectoryBatch
 from .params import ParamVector
-from .recurrent import _log_softmax
+
+
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 class LinearBanditPolicy:

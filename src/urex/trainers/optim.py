@@ -40,8 +40,17 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState,
     ``state`` is updated in place; ``params`` is not mutated.
     """
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    return params + learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    scratch = (1.0 - state.beta2) * grad
+    scratch *= grad
+    state.v *= state.beta2
+    state.v += scratch
+    step = np.divide(state.m, 1.0 - state.beta1**state.t)  # m_hat
+    step *= learning_rate
+    denom = np.divide(state.v, 1.0 - state.beta2**state.t, out=scratch)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    step += params
+    return step

@@ -104,7 +104,9 @@ class PolicyGradientTrainer:
     """Owns the optimizer state and RNG streams for one training run.
 
     ``env_factory(seed, length)`` must return an unreset environment;
-    ``length`` is None when no curriculum is attached.
+    ``length`` is None when no curriculum is attached.  A factory that
+    also has ``latents(seeds, lengths)`` gives the batch's reset envs in
+    one call (``urex.envs.draw_latents`` for the tape tasks).
     """
 
     def __init__(self, policy, env_factory, config: TrainConfig, curriculum=None):
@@ -124,15 +126,17 @@ class PolicyGradientTrainer:
         t0 = time.perf_counter()
         cfg = self.config
         level = None if self.curriculum is None else self.curriculum.current_max_length
-        envs = []
-        for _ in range(cfg.n):
-            seed = int(self.env_seed_rng.integers(0, 2**63))
-            length = None
-            if self.curriculum is not None:
-                length = self.curriculum.sample_length(self.length_rng)
-            env = self.env_factory(seed, length)
-            env.reset()
-            envs.append(env)
+        seeds = self.env_seed_rng.integers(0, 2**63, size=cfg.n).tolist()
+        lengths = [None] * cfg.n
+        if self.curriculum is not None:
+            lengths = [self.curriculum.sample_length(self.length_rng) for _ in range(cfg.n)]
+        draw = getattr(self.env_factory, "latents", None)
+        if draw is not None:
+            envs = draw(seeds, lengths)
+        else:
+            envs = [self.env_factory(seed, length) for seed, length in zip(seeds, lengths)]
+            for env in envs:
+                env.reset()
         batch, coeffs, wvar, norm_pre, norm_post = update(
             self.policy, self.optim, envs, cfg, self.sample_rng)
         if self.curriculum is not None:

@@ -86,7 +86,7 @@ class DoubleQLearner:
     def q_values(self, trajectory) -> np.ndarray:
         """Online-net Q-values along a fixed episode, shape (T, A)."""
         _, cache = self.online.replay([trajectory], collect=True)
-        return np.stack([st.logits[0][0] for st in cache.steps])
+        return np.stack([st.logits[0] for st in cache.steps])
 
     def train_step(self, env) -> dict:
         """Collect one epsilon-greedy episode from ``env`` and fit its targets."""
@@ -97,9 +97,9 @@ class DoubleQLearner:
         T = int(batch.lengths[0])
         rewards = batch.rewards[0, :T]
         gamma = self.config.discount
-        q_online = np.array([cache.steps[t].logits[0][0] for t in range(T)])
+        q_online = np.array([cache.steps[t].logits[0] for t in range(T)])
         _, target_cache = self.target.replay(batch, collect=True)
-        q_target = np.array([target_cache.steps[t].logits[0][0] for t in range(T)])
+        q_target = np.array([target_cache.steps[t].logits[0] for t in range(T)])
         targets = np.empty(T)
         for t in range(T - 1):
             best_next = int(q_online[t + 1].argmax())
@@ -109,7 +109,7 @@ class DoubleQLearner:
         residual = q_online[np.arange(T), taken] - targets
 
         def dlogits_fn(t, st):
-            d = np.zeros_like(st.logits[0])
+            d = np.zeros_like(st.head_probs)
             if t < T:
                 # ascent on the negated squared error
                 d[0, taken[t]] = -2.0 * residual[t]

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from urex.envs import (COMPLETED, STEP_LIMIT, WRONG_EMISSION, BanditEnv,
-                       RowStepper, TapeLockstep, TaskId, lockstep, make_env,
-                       oracle_rollout, replay_trace)
+import urex.envs as envs_module
+from urex.envs import (COMPLETED, STEP_LIMIT, WRONG_EMISSION, BanditEnv, Env,
+                       RowStepper, TapeEnv, TapeLockstep, TaskId, draw_latents, lockstep,
+                       make_env, oracle_rollout, replay_trace)
 from urex.envs.base import EpisodeError
 from urex.envs.search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, OP_AVG,
                               OP_CMP, OP_DIV, OP_INC, SearchAction)
@@ -305,3 +306,71 @@ def test_lockstep_uses_arrays_only_for_tape_envs():
         env.reset()
     assert isinstance(lockstep(tape), TapeLockstep)
     assert isinstance(lockstep(tape + [search]), RowStepper)
+
+
+# -- array latents against make_env + reset --------------------------------------
+LATENT_ROWS = st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(2, 12), st.integers(0, 8)),
+                       min_size=1, max_size=5)
+
+
+def scalar_state(env):
+    return {k: v for k, v in vars(env).items() if k != "_stream"}
+
+
+@pytest.mark.parametrize("task", TAPE_TASKS)
+@given(rows=LATENT_ROWS, action_seed=st.integers(0, 2**32 - 1))
+def test_drawn_latents_match_make_env_then_reset(task, rows, action_seed):
+    seeds = [seed for seed, _, _ in rows]
+    ranges = [(lo, lo + span) for _, lo, span in rows]
+    latents = draw_latents(task, seeds, ranges)
+    envs = [make_env(task, seed, r) for seed, r in zip(seeds, ranges)]
+    first = [env.reset() for env in envs]
+    stepper = TapeLockstep(latents)
+    for b, env in enumerate(envs):
+        grid = env.grid if task is TaskId.REVERSED_ADDITION else (env.tape,)
+        inside = latents.grid[b, 1 : 1 + len(grid), 1 : 1 + env.input_length]
+        assert inside.tolist() == [list(r) for r in grid]
+        assert (latents.grid[b] == env.blank).sum() == latents.grid[b].size - inside.size
+        assert latents.width[b] == env.input_length
+        assert latents.target[b, : latents.target_len[b]].tolist() == list(env.target)
+        assert latents.step_limit[b] == env.step_limit
+    assert stepper.max_rewards.tolist() == [env.max_total_reward() for env in envs]
+    assert stepper.first_obs.tolist() == first
+    assert stepper.seeds.tolist() == seeds
+    assert stepper.num_observations == envs[0].num_observations
+    # the envs given back equal the scalar ones, and they and the stepper step alike
+    given_back = list(latents)
+    assert [scalar_state(env) for env in given_back] == [scalar_state(env) for env in envs]
+    rng = np.random.default_rng(action_seed)
+    while not all(env.done for env in envs):
+        live = np.array([b for b, env in enumerate(envs) if not env.done])
+        # mostly the next target symbol, so episodes also complete and time out
+        symbols = np.where(rng.random(live.size) < 0.8,
+                           [envs[b].target[envs[b].emitted] for b in live],
+                           rng.integers(0, envs[0].base, live.size))
+        actions = np.stack([rng.integers(0, envs[0].n_moves, live.size),
+                            rng.integers(0, 2, live.size), symbols], axis=1)
+        got = stepper.step(live, actions)
+        for i, b in enumerate(live.tolist()):
+            expect = envs[b].step(TapeAction(*actions[i].tolist()))
+            assert given_back[b].step(TapeAction(*actions[i].tolist())) == expect
+            assert tuple(value[i] for value in got) == tuple(expect)
+
+
+def test_drawn_latents_give_back_envs_without_drawing_or_resetting(monkeypatch):
+    latents = draw_latents(TaskId.COPY, [1, 2, 3], [(2, 5)] * 3).repeat(2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or reset an env")
+
+    monkeypatch.setattr(envs_module, "make_env", refuse)
+    monkeypatch.setattr(Env, "reset", refuse)
+    monkeypatch.setattr(TapeEnv, "_draw_latent", refuse)
+    given_back = list(latents)
+    monkeypatch.undo()
+    assert [env.seed for env in given_back] == [1, 1, 2, 2, 3, 3]
+    assert all(isinstance(env, TapeEnv) and env._has_latent and not env.done
+               for env in given_back)
+    assert given_back[0] is not given_back[1]
+    with pytest.raises(EpisodeError):  # like Env.clone copies: no seed stream
+        given_back[0].reset()

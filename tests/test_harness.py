@@ -297,6 +297,17 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert any(f.endswith(".ckpt") for f in files)
 
 
+def test_cli_runs_that_differ_only_in_profile_keep_their_own_outputs(tmp_path, capsys):
+    from urex.harness.cli import main
+
+    for profile in ("desk", "full"):
+        main(["run", "--task", "Copy", "--method", "ment", "--tau", "0.0", "--steps", "1",
+              "--profile", profile, "--out", str(tmp_path)])
+    files = os.listdir(tmp_path)
+    assert len([f for f in files if f.endswith(".jsonl")]) == 2
+    assert len([f for f in files if f.endswith(".ckpt")]) == 2
+
+
 def test_cli_generalize_oracle(tmp_path, capsys):
     from urex.harness.cli import main
 

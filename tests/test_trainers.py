@@ -7,7 +7,10 @@ import pytest
 from urex.curriculum import CurriculumState
 from urex.envs.base import COMPLETED, Env, StepResult
 from urex.envs.bandit import BanditEnv
-from urex.policy import LinearBanditPolicy
+from urex.envs import TaskId
+from urex.harness import make_spec
+from urex.harness.trial import env_factory_for
+from urex.policy import LinearBanditPolicy, policy_for_env
 from urex.trainers import (AdamState, DoubleQLearner, PolicyGradientTrainer,
                            QConfig, TrainConfig, update)
 from urex.types import Trajectory
@@ -209,3 +212,25 @@ def test_q_target_sync_cadence():
         learner.train_step(env)
         synced = np.array_equal(learner.target.params.flat, learner.online.params.flat)
         assert synced == (i % 5 == 0)
+
+
+@pytest.mark.parametrize("curriculum", [True, False], ids=["curriculum", "fixed_range"])
+def test_trainer_draws_tape_latents_as_its_per_env_factory_makes_them(curriculum):
+    # the spec's factory draws each batch into arrays; a plain lambda over
+    # it makes and resets every env on its own
+    spec = make_spec(TaskId.DUPLICATED_INPUT, "urex", 0.1, eta=0.1, profile="desk", n=4, k=3,
+                     length_cap=6)
+    factory = env_factory_for(spec)
+    runs = []
+    for env_factory in (factory, lambda seed, length: factory(seed, length)):
+        policy = policy_for_env(factory(0, 2), hidden_size=8)
+        policy.init_params(np.random.Generator(np.random.PCG64(3)))
+        config = TrainConfig(method="urex", tau=0.1, learning_rate=0.1, k=3, n=4, seed=5)
+        trainer = PolicyGradientTrainer(policy, env_factory, config,
+                                        CurriculumState(length_cap=6) if curriculum else None)
+        rows = [{k: v for k, v in trainer.step().record().items() if k != "wall_ms"}
+                for _ in range(6)]
+        runs.append((rows, policy.params.flat.copy()))
+    (rows_a, params_a), (rows_b, params_b) = runs
+    assert rows_a == rows_b
+    assert np.array_equal(params_a, params_b)
