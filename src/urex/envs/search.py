@@ -55,7 +55,7 @@ class BinarySearchEnv(Env):
         increments = stream.integers(1, 10, size=self.n)
         offset = int(stream.integers(0, 10))
         values = increments.cumsum() + offset
-        self.array = tuple(int(v) for v in values)
+        self.array = tuple(values.tolist())
         self.query_pos = int(stream.integers(0, self.n))
         self.query = self.array[self.query_pos]
         self.step_limit = 2 * self.n + 1

@@ -170,6 +170,11 @@ class RecurrentPolicy:
         c = np.zeros((B, hs))
         idx = np.arange(B)
         cols = obs[:, None]  # one-hot input columns: observation, then previous actions
+        # Every row starts from the zero state, so step 0's cell depends on
+        # the first observation alone: it runs once per distinct one, and
+        # ``inv`` gathers the results back to the rows.  A one-hot row
+        # times W_x is one weight column exactly, whatever the row count.
+        distinct, inv = np.unique(obs, return_inverse=True) if B > 1 else (obs, None)
         logp_total = np.zeros(B)
         cache = RolloutCache(batch_size=B) if collect else None
         t = 0
@@ -178,9 +183,19 @@ class RecurrentPolicy:
             rows = np.arange(n)[:, None]
             x = np.zeros((n, self.input_dim))
             x[rows, cols] = 1.0
-            gates, g, c_new, tanh_c, h_new = self._cell(x, h, c, weights, scratch, t == 0)
-            if not np.isfinite(h_new.sum()):  # |h| <= 1 wherever it is finite
+            shared = t == 0 and distinct.size < B
+            if shared:
+                u = distinct.size
+                x_cell = np.zeros((u, self.input_dim))
+                x_cell[np.arange(u), distinct] = 1.0
+                cell = self._cell(x_cell, h[:u], c[:u], weights, scratch, True)
+            else:
+                cell = self._cell(x, h, c, weights, scratch, t == 0)
+            if not np.isfinite(cell[-1].sum()):  # |h| <= 1 wherever it is finite
                 raise PolicyDivergence("non-finite recurrent state in the forward pass")
+            if shared:
+                cell = [a.take(inv, axis=0) for a in cell]
+            gates, g, c_new, tanh_c, h_new = cell
             z = h_new @ w_all_t
             z += b_all
             if self._padding is None:
@@ -361,8 +376,10 @@ class RecurrentPolicy:
             np.subtract(1.0, dtanh, out=dtanh)
             np.multiply(dg, dtanh, out=dz[:, 3 * hs :])
             g_wx += dz.T @ st.x
-            g_wh += dz.T @ st.h_prev
             g_b += dz.sum(axis=0)
+            if t == 0:  # h_prev is zero, and no earlier step reads dh or dc
+                break
+            g_wh += dz.T @ st.h_prev
             dh_next = np.matmul(dz, wh, out=dh_next_buf[:n])
             dc_next = np.multiply(dc, f, out=dc_next_buf[:n])
         off = 0

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from urex.envs import TaskId, make_env
+from urex.envs import TaskId, draw_latents, make_env
 from urex.policy import PolicyDivergence, policy_for_env, sample_trajectory
 
 
@@ -16,6 +16,16 @@ def test_nan_logits_abort_rollout():
     pol.params.view("lstm_wx")[:] = np.nan
     with pytest.raises(PolicyDivergence):
         sample_trajectory(pol, env.clone(), 0)
+
+
+@pytest.mark.parametrize("segment", ["lstm_wx", "lstm_b"])
+def test_nan_cell_weights_abort_a_batch_that_shares_first_observations(segment):
+    envs = draw_latents(TaskId.COPY, list(range(4)), [(3, 5)] * 4).repeat(10)
+    pol = policy_for_env(envs[0], hidden_size=8)
+    pol.init_params(np.random.Generator(np.random.PCG64(0)))
+    pol.params.view(segment)[:] = np.nan
+    with pytest.raises(PolicyDivergence, match="forward pass"):
+        pol.rollout(envs, rng=np.random.Generator(np.random.PCG64(1)))
 
 
 def test_nonfinite_gradient_names_segment():

@@ -4,15 +4,17 @@ specification, bit for bit.
 The specification holds the recurrent state of the full batch, runs one
 log-softmax and one cumulative-sum draw per head, steps scalar env
 clones row by row, and backpropagates with a full-batch state gradient.
-The policy under test holds only the running rows, fuses its heads and
-steps envs on array state; every output, every cached array and every
-gradient must equal the specification's exactly.
+The policy under test holds only the running rows, runs the first
+step's cell once per distinct first observation, fuses its heads, steps
+envs on array state and stops BPTT's first step once its input-weight
+gradients are in; every output, every cached array and every gradient
+must equal the specification's exactly.
 """
 
 import numpy as np
 import pytest
 
-from urex.envs import TaskId, draw_latents, make_env
+from urex.envs import TaskId, draw_latents, lockstep, make_env
 from urex.policy import policy_for_env
 from urex.trainers import JointActionView
 
@@ -221,12 +223,25 @@ KINDS = ["Copy", "DuplicatedInput", "ReversedAddition", "BinarySearch", "Copy-jo
 MODES = {"sampled": {}, "greedy": {"greedy": True}, "eps_greedy": {"eps": 0.3}}
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("kind", KINDS)
-def test_rollout_replay_and_gradient_match_the_specification(kind, mode):
-    envs = make_envs(kind)
-    pol = policy_for_env(envs[0], hidden_size=8)
+def first_step_rows(pol):
+    """Record the row count of each forward pass's first cell call."""
+    rows, cell = [], pol._cell
+
+    def spy(x, h_prev, c_prev, weights, scratch, first):
+        if first:
+            rows.append(x.shape[0])
+        return cell(x, h_prev, c_prev, weights, scratch, first)
+
+    pol._cell = spy
+    return rows
+
+
+def check_against_specification(envs, hidden_size, mode):
+    """Rollout, replay and both gradients equal the specification's bits;
+    returns the batch and the row counts of the two first cell calls."""
+    pol = policy_for_env(envs[0], hidden_size=hidden_size)
     pol.init_params(np.random.Generator(np.random.PCG64(7)))
+    cell_rows = first_step_rows(pol)
     batch, cache = pol.rollout(envs, rng=np.random.Generator(np.random.PCG64(1)), collect=True,
                                **MODES[mode])
     logp, steps, episodes = spec_rollout(pol, list(envs),
@@ -234,7 +249,6 @@ def test_rollout_replay_and_gradient_match_the_specification(kind, mode):
                                          **MODES[mode])
     B = len(envs)
     assert same_bits(batch.log_probs, logp)
-    assert len(set(batch.lengths.tolist())) > 1
     for traj, env, (observations, actions, rewards, cause) in zip(batch, envs, episodes):
         assert (traj.observations, traj.actions, traj.rewards) == (observations, actions, rewards)
         assert traj.cause == cause and traj.env_seed == env.seed
@@ -252,3 +266,39 @@ def test_rollout_replay_and_gradient_match_the_specification(kind, mode):
     assert_cache_matches(replay_cache, spec_steps, B)
     assert same_bits(pol.grad_weighted_logprob(replay_cache, coeffs),
                      spec_backward(pol, spec_steps, B, coeffs))
+    return batch, cell_rows
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_rollout_replay_and_gradient_match_the_specification(kind, mode):
+    batch, _ = check_against_specification(make_envs(kind), 8, mode)
+    assert len(set(batch.lengths.tolist())) > 1
+
+
+def first_step_envs(case):
+    """Batches at the desk trainer's shapes (H = 32): N drawn latents with
+    K = 10 rows each (N = 20 for Copy, 40 for DuplicatedInput), which
+    share first observations, and batches whose first observations are
+    all distinct (seeds 0-4 start on 5 distinct symbols)."""
+    task = TaskId.DUPLICATED_INPUT if case.startswith("DuplicatedInput") else TaskId.COPY
+    if case.endswith("B=1"):
+        env = make_env(task, 0, (2, 6))
+        env.reset()
+        return [env]
+    if case.endswith("distinct"):
+        return draw_latents(task, list(range(5)), [(2, 8)] * 5)
+    n = 40 if task is TaskId.DUPLICATED_INPUT else 20
+    return draw_latents(task, list(range(n)), [(2, 8)] * n).repeat(10)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", ["Copy-K=10", "DuplicatedInput-K=10", "Copy-B=1",
+                                  "DuplicatedInput-B=1", "Copy-distinct"])
+def test_first_step_runs_the_cell_once_per_distinct_first_observation(case, mode):
+    envs = first_step_envs(case)
+    first = lockstep(envs).first_obs
+    distinct = np.unique(first).size
+    assert (len(envs) >= 40 and distinct < len(envs)) if "K=10" in case else distinct == len(envs)
+    _, cell_rows = check_against_specification(envs, 32, mode)
+    assert cell_rows == [distinct, distinct]  # the rollout's and the replay's
