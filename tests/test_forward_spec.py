@@ -302,3 +302,17 @@ def test_first_step_runs_the_cell_once_per_distinct_first_observation(case, mode
     assert (len(envs) >= 40 and distinct < len(envs)) if "K=10" in case else distinct == len(envs)
     _, cell_rows = check_against_specification(envs, 32, mode)
     assert cell_rows == [distinct, distinct]  # the rollout's and the replay's
+
+
+@pytest.mark.parametrize("mode", ["sampled", "eps_greedy"])
+def test_full_scale_batch_matches_the_specification(mode):
+    """The full trainer's shapes, (B, H) = (400, 128): 40 drawn
+    DuplicatedInput latents of lengths 2..33 with K = 10 rows each.  BPTT's
+    first step takes the input-weight product over all 400 rows, and the
+    longest episode runs its last steps on one row, where the recurrent
+    weight product takes its one-row form."""
+    envs = draw_latents(TaskId.DUPLICATED_INPUT, list(range(40)), [(2, 33)] * 40).repeat(10)
+    batch, _ = check_against_specification(envs, 128, mode)
+    lengths = batch.lengths
+    assert lengths.size == 400
+    assert np.count_nonzero(lengths == lengths.max()) == 1  # a one-row step

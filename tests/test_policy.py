@@ -8,11 +8,11 @@ import os
 import numpy as np
 import pytest
 
-from urex.envs import TAPE_TASKS, Env, EpisodeError, TaskId, make_env
+from urex.envs import TAPE_TASKS, Env, EpisodeError, TaskId, draw_latents, make_env
 from urex.envs.bandit import BanditEnv
 from urex.policy import (LinearBanditPolicy, RecurrentPolicy, load_policy,
                          policy_for_env, sample_trajectory, save_policy)
-from urex.trainers import JointActionView
+from urex.trainers import DoubleQLearner, JointActionView, QConfig
 
 
 def make_copy_policy(hidden=8, seed=0, length=4):
@@ -185,6 +185,99 @@ def test_replay_of_batch_and_of_its_trajectories_agree():
     logp_list, cache_list = pol.replay(list(batch), collect=True)
     assert same_bits(logp_batch, logp_list)
     assert_same_caches(cache_batch, cache_list)
+
+
+def pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def duplicated_input_latents(first_seed, count):
+    seeds = list(range(first_seed, first_seed + count))
+    return draw_latents(TaskId.DUPLICATED_INPUT, seeds, [(2, 33)] * count)
+
+
+def test_kept_work_block_never_leaks_between_passes():
+    """A full-scale collect (B = 400, H = 128), then a greedy rollout at
+    B = 100 and a replay of another batch, which write over the policy's
+    kept work block, then the first batch's gradient: batch and gradient
+    equal those of a twin that ran the collect alone."""
+    groups = duplicated_input_latents(0, 40)
+    pol = policy_for_env(groups[0], hidden_size=128)
+    pol.init_params(pcg(3))
+    twin = pol.spawn_like()
+    batch, grad_fn = pol.collect(groups, 10, pcg(1))
+    others = duplicated_input_latents(40, 100)
+    pol.rollout(others, greedy=True)
+    other_batch, _ = pol.rollout(others, rng=pcg(2))
+    pol.replay(other_batch, collect=True)
+    coeffs = np.linspace(-1.0, 1.5, len(batch))
+    grad = grad_fn(coeffs)
+    twin_batch, twin_grad_fn = twin.collect(groups, 10, pcg(1))
+    assert_same_batches(batch, twin_batch)
+    assert same_bits(grad, twin_grad_fn(coeffs))
+
+
+def test_kept_work_block_never_leaks_on_the_q_learning_path():
+    """After a first train step moves the online net off the target: an
+    online rollout, a target replay, a greedy online rollout at B = 100
+    over the same work block, then the online backward.  The gradient
+    equals that of a twin learner without the greedy rollout, and so does
+    the next train step after both nets ran a larger batch."""
+    env = make_env(TaskId.COPY, 5, (3, 6))
+    env.reset()
+    others = [JointActionView(e) for e in draw_latents(TaskId.COPY, list(range(100)),
+                                                        [(2, 10)] * 100)]
+    runs = []
+    for interleave in (True, False):
+        learner = DoubleQLearner(env, QConfig(hidden_size=32, seed=2))
+        train_env = make_env(TaskId.COPY, 6, (3, 6))  # train_step resets it
+        records = [learner.train_step(train_env)]
+        batch, cache = learner.online.rollout([JointActionView(env)], rng=pcg(4), eps=0.5,
+                                              collect=True)
+        assert batch.lengths[0] > 2
+        _, target_cache = learner.target.replay(batch, collect=True)
+        if interleave:
+            learner.online.rollout(others, greedy=True)
+        grad = learner.online.backward(
+            cache, lambda t, st: target_cache.steps[t].logits - st.logits)
+        assert np.any(grad != 0.0)
+        if interleave:
+            learner.online.rollout(others, greedy=True)
+            learner.target.rollout(others, greedy=True)
+        records.append(learner.train_step(train_env))
+        runs.append((grad, records, learner.online.params.flat))
+    (grad, records, params), (twin_grad, twin_records, twin_params) = runs
+    assert same_bits(grad, twin_grad)
+    assert records == twin_records and same_bits(params, twin_params)
+
+
+def test_successive_updates_reuse_one_work_block():
+    """Passes carve their work arrays from one block kept on the policy, so
+    a steady update allocates none: two updates and a smaller evaluation
+    use the same arrays, and only a larger batch grows the block."""
+    groups = duplicated_input_latents(0, 20)
+    pol = policy_for_env(groups[0], hidden_size=32)
+    pol.init_params(pcg(0))
+    rng = pcg(1)
+    blocks = []
+    for _ in range(2):
+        batch, grad_fn = pol.collect(groups, 10, rng)
+        grad_fn(np.ones(len(batch)))
+        blocks.append(pol._work(1))
+    pol.rollout(groups.repeat(5), greedy=True)
+    blocks.append(pol._work(1))
+    forward, backward = blocks[0]
+    assert forward[0].shape == backward[0].shape[:1] + (4 * 32,) == (200, 128)
+    assert np.shares_memory(forward[0], backward[0])  # forward and backward share it
+    for later in blocks[1:]:
+        for a, b in zip(forward + backward, later[0] + later[1]):
+            assert a is b and a.base is forward[0].base
+    pol.collect(groups, 11, rng)
+    grown = pol._work(1)
+    assert grown[0][0].shape[0] == 220 and not np.shares_memory(grown[0][0], forward[0])
+    other = pol.spawn_like()
+    other.rollout(groups, greedy=True)
+    assert not np.shares_memory(other._work(1)[0][0], grown[0][0])
 
 
 def test_log_prob_additivity_small_case():
