@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
-from ..types import Trajectory, TrajectoryBatch
+from ..envs.base import COMPLETED
+from ..types import TrajectoryBatch
 from .params import ParamVector
 
 
 def _log_softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _arms(trajectories) -> np.ndarray:
+    """The arm of each single-step trajectory, from a batch or a list."""
+    if isinstance(trajectories, TrajectoryBatch):
+        return trajectories.actions[:, 0, 0]
+    return np.array([t.actions[0][0] for t in trajectories], dtype=np.int64)
 
 
 class LinearBanditPolicy:
@@ -47,45 +57,32 @@ class LinearBanditPolicy:
     def expected_reward(self, env) -> float:
         return float(self.probs(env) @ env.payoffs)
 
-    def log_prob(self, trajectory: Trajectory, env) -> float:
-        (arm,) = trajectory.actions[0]
-        return float(self.log_probs(env)[arm])
-
-    def sample(self, env, rng: np.random.Generator, k: int = 1):
+    def sample(self, env, rng: np.random.Generator, k: int = 1) -> TrajectoryBatch:
         """Draw k single-step trajectories from one bandit instance."""
         env.restart()
         logp = self.log_probs(env)
         cdf = np.cumsum(np.exp(logp))
         arms = np.minimum(np.searchsorted(cdf, rng.random(k), side="right"), len(cdf) - 1)
-        best = env.max_total_reward()
-        episode = env.clone()  # restarted for each draw: one fresh episode per arm
-        trajs = []
-        for arm, arm_logp in zip(arms.tolist(), logp[arms].tolist()):
-            episode.restart()
-            res = episode.step(arm)
-            trajs.append(
-                Trajectory(
-                    observations=[0],
-                    actions=[(arm,)],
-                    rewards=[res.reward],
-                    total_reward=res.reward,
-                    log_prob=arm_logp,
-                    env_seed=env.seed,
-                    max_total_reward=best,
-                    cause=res.cause,
-                )
-            )
-        return trajs
+        payoffs = env.payoffs[arms]
+        return TrajectoryBatch(
+            observations=np.zeros((k, 1), dtype=np.int64),
+            actions=arms.reshape(k, 1, 1),
+            rewards=payoffs.reshape(k, 1),
+            lengths=np.ones(k, dtype=np.int64),
+            totals=payoffs,
+            log_probs=logp[arms],
+            max_rewards=np.full(k, env.max_total_reward()),
+            seeds=np.full(k, env.seed, dtype=object),
+            causes=np.full(k, COMPLETED, dtype=object),
+        )
 
     def weighted_logprob(self, trajectories, coefficients, env) -> float:
-        logp = self.log_probs(env)
-        arms = [t.actions[0][0] for t in trajectories]
-        return float(np.dot(coefficients, logp[arms]))
+        return float(np.dot(coefficients, self.log_probs(env)[_arms(trajectories)]))
 
     def weighted_grad(self, trajectories, coefficients, env) -> np.ndarray:
         """Gradient of sum_j c_j log pi(a_j): sum_j c_j (phi[a_j] - E_pi[phi])."""
         coeffs = np.asarray(coefficients, dtype=float)
-        arms = np.array([t.actions[0][0] for t in trajectories])
+        arms = _arms(trajectories)
         probs = self.probs(env)
         mean_phi = probs @ env.features
         return env.features[arms].T @ coeffs - coeffs.sum() * mean_phi
@@ -93,7 +90,8 @@ class LinearBanditPolicy:
     # -- collection protocol shared with the recurrent policy -------------------
     def collect(self, group_envs, k: int, rng: np.random.Generator):
         groups = [self.sample(env, rng, k) for env in group_envs]
-        batch = TrajectoryBatch.from_trajectories(t for group in groups for t in group)
+        batch = groups[0] if len(groups) == 1 else TrajectoryBatch(
+            *(np.concatenate([getattr(g, f.name) for g in groups]) for f in fields(TrajectoryBatch)))
 
         def grad_fn(coeffs):
             coeffs = np.asarray(coeffs, dtype=float)

@@ -26,10 +26,6 @@ class Trajectory:
     max_total_reward: float = 0.0
     cause: str | None = None
 
-    def check(self) -> None:
-        assert len(self.actions) == len(self.rewards) == len(self.observations)
-        assert abs(sum(self.rewards) - self.total_reward) < 1e-9
-
 
 @dataclass
 class TrajectoryBatch:

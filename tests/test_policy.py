@@ -328,7 +328,7 @@ def test_sampling_frequencies_match_probabilities():
     pol = LinearBanditPolicy(4)  # zero weights: uniform over 4 arms
     rng = np.random.Generator(np.random.PCG64(9))
     trajs = pol.sample(env, rng, k=100_000)
-    counts = np.bincount([t.actions[0][0] for t in trajs], minlength=4)
+    counts = np.bincount(trajs.actions[:, 0, 0], minlength=4)
     # three-sigma band around 1/4
     sigma = math.sqrt(100_000 * 0.25 * 0.75)
     assert np.all(np.abs(counts - 25_000) < 3 * sigma)
@@ -385,10 +385,10 @@ def test_linear_policy_log_prob_and_grad():
     pol.init_params(rng, scale=0.5)
     trajs = pol.sample(env, rng, k=3)
     for t in trajs:
-        assert t.log_prob == pytest.approx(pol.log_prob(t, env), abs=1e-12)
+        assert t.log_prob == pytest.approx(pol.log_probs(env)[t.actions[0][0]], abs=1e-12)
     # closed-form score: phi[a] - E_pi[phi]
     probs = pol.probs(env)
-    grad = pol.weighted_grad(trajs[:1], [1.0], env)
+    grad = pol.weighted_grad([trajs[0]], [1.0], env)
     arm = trajs[0].actions[0][0]
     expect = env.features[arm] - probs @ env.features
     assert np.allclose(grad, expect, atol=1e-12)
