@@ -19,8 +19,8 @@ from .base import (COMPLETED, STEP_LIMIT, WRONG_EMISSION, Env, EpisodeError,
 
 MOVE_LEFT, MOVE_RIGHT, MOVE_UP, MOVE_DOWN = 0, 1, 2, 3
 _MOVE_NAMES = ("left", "right", "up", "down")
-_ROW_SHIFT = np.array([0, 0, -1, 1])  # indexed by move
-_COL_SHIFT = np.array([-1, 1, 0, 0])
+_ROW_STEP = (0, 0, -1, 1)  # indexed by move
+_COL_STEP = (-1, 1, 0, 0)
 
 
 class TapeAction(NamedTuple):
@@ -30,7 +30,13 @@ class TapeAction(NamedTuple):
 
 
 class TapeEnv(Env):
-    """Common emission/reward/step-limit logic for all tape tasks."""
+    """Common emission/reward/step-limit logic for all tape tasks.
+
+    A task is its ``_draw_grid`` and ``_grid_target``: the grid of
+    symbols a latent holds (the tape is its row 0) and the symbols to
+    emit.  The pointer starts at cell ``(row, col) = (0, 0)``; off the
+    grid it observes a blank.
+    """
 
     n_moves = 2
     base = 5  # tape symbols
@@ -41,31 +47,37 @@ class TapeEnv(Env):
         if lo < 2 or hi < lo:
             raise ValueError(f"bad length range {length_range!r}")
         self.length_range = (lo, hi)
-        self.num_observations = self.base + 1  # symbols plus blank
-        self.action_heads = (("move", self.n_moves), ("write", 2), ("out", self.base))
+
+    @property
+    def num_observations(self) -> int:
+        return self.base + 1  # symbols plus blank
+
+    @property
+    def action_heads(self) -> tuple:
+        return (("move", self.n_moves), ("write", 2), ("out", self.base))
 
     @property
     def blank(self) -> int:
         return self.base
 
+    @property
+    def tape(self) -> tuple:
+        return self.grid[0]
+
     # -- latent -------------------------------------------------------------
     def _draw_latent(self, stream):
         lo, hi = self.length_range
-        self.input_length = int(stream.integers(lo, hi + 1))
-        self._make_tape(stream)
-        self.target = self._make_target()
+        self._set_grid(self._draw_grid(stream, int(stream.integers(lo, hi + 1))))
+
+    def _set_grid(self, grid: np.ndarray) -> None:
+        self.grid = tuple(map(tuple, grid.tolist()))
+        self.input_length = grid.shape[1]
+        self.target = tuple(self._grid_target(grid).tolist())
         self.step_limit = 4 * self.input_length + 4
 
-    def _make_tape(self, stream):
-        self.tape = tuple(int(s) for s in stream.integers(0, self.base, size=self.input_length))
-
-    def _make_target(self) -> tuple:
-        raise NotImplementedError
-
-    # array latents (``TapeLatents``); the scalar methods above are their reference
     @classmethod
     def _draw_grid(cls, stream, length: int) -> np.ndarray:
-        """``_make_tape``'s draws as an (n_rows, input_length) array."""
+        """The latent's symbols as an (n_rows, input_length) array."""
         return stream.integers(0, cls.base, size=(1, length))
 
     @staticmethod
@@ -77,15 +89,21 @@ class TapeEnv(Env):
 
     # -- episode -------------------------------------------------------------
     def _begin(self) -> int:
-        self.pos = 0
-        self.emitted = 0
+        self.row = self.col = self.emitted = 0
         return self._observe()
 
     def _observe(self) -> int:
-        pos = self.pos
-        if 0 <= pos < len(self.tape):
-            return self.tape[pos]
+        if 0 <= self.row < len(self.grid) and 0 <= self.col < self.input_length:
+            return self.grid[self.row][self.col]
         return self.blank
+
+    def decode_action(self, head_tuple):
+        """A (move, write, symbol) triple as it is, and a one-entry joint
+        index ``j`` as ``(j // (2 * base), j // base % 2, j % base)``."""
+        if len(head_tuple) != 1:
+            return head_tuple
+        j = head_tuple[0]
+        return j // (2 * self.base), j // self.base % 2, j % self.base
 
     def step(self, action) -> StepResult:
         self._require_running()
@@ -110,11 +128,9 @@ class TapeEnv(Env):
             reward += -1.0
             self.done = True
             cause = STEP_LIMIT
-        self._move(move)
+        self.row += _ROW_STEP[move]
+        self.col += _COL_STEP[move]
         return StepResult(self._observe(), reward, self.done, cause)
-
-    def _move(self, move: int) -> None:
-        self.pos += 1 if move == MOVE_RIGHT else -1
 
     # -- formatting ------------------------------------------------------------
     def action_str(self, action) -> str:
@@ -127,9 +143,6 @@ class TapeEnv(Env):
 
 
 class CopyEnv(TapeEnv):
-    def _make_target(self):
-        return self.tape
-
     @staticmethod
     def _grid_target(grid):
         return grid[0]
@@ -139,15 +152,6 @@ class DuplicatedInputEnv(TapeEnv):
     """Tape holds each hidden symbol twice; the target is one copy of each."""
 
     duplication = 2
-
-    def _make_tape(self, stream):
-        groups = max(1, self.input_length // self.duplication)
-        symbols = stream.integers(0, self.base, size=groups)
-        self.tape = tuple(int(s) for s in symbols for _ in range(self.duplication))
-        self.input_length = len(self.tape)
-
-    def _make_target(self):
-        return self.tape[:: self.duplication]
 
     @classmethod
     def _draw_grid(cls, stream, length):
@@ -160,18 +164,12 @@ class DuplicatedInputEnv(TapeEnv):
 
 
 class RepeatCopyEnv(TapeEnv):
-    def _make_target(self):
-        return self.tape + self.tape[::-1] + self.tape
-
     @staticmethod
     def _grid_target(grid):
         return np.concatenate((grid[0], grid[0, ::-1], grid[0]))
 
 
 class ReverseEnv(TapeEnv):
-    def _make_target(self):
-        return self.tape[::-1]
-
     @staticmethod
     def _grid_target(grid):
         return grid[0, ::-1]
@@ -183,56 +181,21 @@ class ReversedAdditionEnv(TapeEnv):
     n_moves = 4
     base = 3
 
-    def _make_tape(self, stream):
-        self.grid = tuple(
-            tuple(int(d) for d in stream.integers(0, self.base, size=self.input_length))
-            for _ in range(2)
-        )
-
-    def _make_target(self):
-        return self._digit_sum(*self.grid)
+    @classmethod
+    def _draw_grid(cls, stream, length):
+        return np.stack([stream.integers(0, cls.base, size=length) for _ in range(2)])
 
     @classmethod
-    def _digit_sum(cls, a_digits, b_digits) -> tuple:
+    def _grid_target(cls, grid):
         digits = []
         carry = 0
-        for a, b in zip(a_digits, b_digits):
+        for a, b in zip(*grid.tolist()):
             s = a + b + carry
             digits.append(s % cls.base)
             carry = s // cls.base
         if carry:
             digits.append(carry)
-        return tuple(digits)
-
-    @classmethod
-    def _draw_grid(cls, stream, length):
-        # one draw per row, as _make_tape makes them
-        return np.stack([stream.integers(0, cls.base, size=length) for _ in range(2)])
-
-    @classmethod
-    def _grid_target(cls, grid):
-        return np.array(cls._digit_sum(*grid.tolist()), dtype=np.int64)
-
-    def _begin(self) -> int:
-        self.row = 0
-        self.col = 0
-        self.emitted = 0
-        return self._observe()
-
-    def _observe(self) -> int:
-        if 0 <= self.row < 2 and 0 <= self.col < self.input_length:
-            return self.grid[self.row][self.col]
-        return self.blank
-
-    def _move(self, move: int) -> None:
-        if move == MOVE_LEFT:
-            self.col -= 1
-        elif move == MOVE_RIGHT:
-            self.col += 1
-        elif move == MOVE_UP:
-            self.row -= 1
-        else:
-            self.row += 1
+        return np.array(digits, dtype=np.int64)
 
 
 TAPE_ENV_TYPES = (CopyEnv, DuplicatedInputEnv, RepeatCopyEnv, ReverseEnv, ReversedAdditionEnv)
@@ -243,6 +206,7 @@ _CAUSES = np.array([None, COMPLETED, WRONG_EMISSION, STEP_LIMIT], dtype=object)
 # completes), a wrong one -0.5, and the step limit -1 on top
 _REWARDS = np.array([0.0, 1.0, np.nan, 1.0, -0.5, np.nan, -1.0, 1.0 + -1.0])
 _NO_SYMBOL = -1  # pads targets: never equal to an emitted symbol
+_ROW_SHIFT, _COL_SHIFT = np.array(_ROW_STEP), np.array(_COL_STEP)
 
 
 class TapeLatents:
@@ -270,8 +234,6 @@ class TapeLatents:
         self.num_observations = int(blank.max()) + 1
         self._envs = envs
         self._env_type, self._task, self._length_ranges = env_type, task, length_ranges
-        self._init_vars = None
-        self._env_vars = {}  # latent -> its envs' attributes, shared with repeats
 
     @classmethod
     def _from_grids(cls, grids, targets, blank, n_moves, seeds, **kw):
@@ -311,8 +273,7 @@ class TapeLatents:
         distinct = [envs[b] for b in first.tolist()]
         if not all(env._has_latent for env in distinct):
             raise EpisodeError("reset() must be called before restart()")
-        grids = [np.array(env.grid if type(env) is ReversedAdditionEnv else (env.tape,))
-                 for env in distinct]
+        grids = [np.array(env.grid) for env in distinct]
         targets = [np.array(env.target, dtype=np.int64) for env in distinct]
         return cls._from_grids(grids, targets, np.array([env.blank for env in distinct]),
                                np.array([env.n_moves for env in distinct]),
@@ -331,25 +292,12 @@ class TapeLatents:
         j = int(self.rows[b])
         if self._envs is not None:
             return self._envs[j]
-        if j not in self._env_vars:
-            self._env_vars[j] = self._vars_of(j)
         env = self._env_type.__new__(self._env_type)
-        vars(env).update(self._env_vars[j])
+        vars(env).update(seed=self.seeds[j], task=self._task, _stream=None, _has_latent=True,
+                         length_range=tuple(self._length_ranges[j]), done=False, steps=0)
+        env._set_grid(self.grid[j, 1:-1, 1 : 1 + self.width[j]])
         env._begin()
         return env
-
-    def _vars_of(self, j: int) -> dict:
-        """The attributes of latent ``j``'s envs, before ``_begin``."""
-        if self._init_vars is None:  # what TapeEnv.__init__ sets; the same for every env
-            self._init_vars = vars(self._env_type(self.seeds[0], self._length_ranges[0]))
-        width = int(self.width[j])
-        cells = self.grid[j, 1:-1, 1 : 1 + width].tolist()
-        latent = (dict(grid=tuple(map(tuple, cells))) if self._env_type is ReversedAdditionEnv
-                  else dict(tape=tuple(cells[0])))
-        return dict(self._init_vars, **latent, seed=self.seeds[j], task=self._task,
-                    _stream=None, _has_latent=True, length_range=tuple(self._length_ranges[j]),
-                    input_length=width, step_limit=int(self.step_limit[j]),
-                    target=tuple(self.target[j, : self.target_len[j]].tolist()))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -370,6 +318,7 @@ class TapeLockstep:
         self.grid = latents.grid[owner]
         self.target, self.target_len = latents.target[owner], latents.target_len[owner]
         self.step_limit, self.n_moves = latents.step_limit[owner], latents.n_moves[owner]
+        self.base = latents.blank[owner]
         self.max_rewards = self.target_len.astype(float)
         self.seeds = latents.seeds[owner]
         self.num_observations = latents.num_observations
@@ -387,11 +336,16 @@ class TapeLockstep:
         self.first_obs = self.grid[:, 1, 1].copy()
 
     def step(self, rows, head_actions):
-        """Step episodes ``rows`` with (move, write, symbol) ``head_actions``;
+        """Step episodes ``rows`` with (move, write, symbol) ``head_actions``,
+        or one joint index per row as ``TapeEnv.decode_action`` reads it;
         returns (obs, reward, done, cause) arrays over ``rows``."""
         if self.done[rows].any():
             raise EpisodeError("step() called on a finished episode")
-        move, write, symbol = head_actions.T
+        if head_actions.shape[1] == 1:
+            j, base = head_actions[:, 0], self.base[rows]
+            move, write, symbol = j // (2 * base), j // base % 2, j % base
+        else:
+            move, write, symbol = head_actions.T
         if move.min() < 0 or move.max() >= self._fewest_moves:
             bad = (move < 0) | (move >= self.n_moves[rows])
             if bad.any():
@@ -432,9 +386,10 @@ def repeat_envs(envs, k: int):
 
 
 def lockstep(envs):
-    """Lockstep stepper for ``envs``: array state when every env is one of
-    the tape tasks, otherwise each env's scalar ``step`` row by row."""
-    if isinstance(envs, TapeLatents) or (envs and all(type(env) in TAPE_ENV_TYPES
-                                                      for env in envs)):
+    """Lockstep stepper for ``envs``: array state for ``TapeLatents`` and
+    for several envs that are all of the tape tasks, otherwise each env's
+    scalar ``step`` row by row (a lone env steps faster on its own)."""
+    if isinstance(envs, TapeLatents) or (len(envs) > 1 and all(type(env) in TAPE_ENV_TYPES
+                                                               for env in envs)):
         return TapeLockstep(envs)
     return RowStepper(envs)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..envs import TaskId, make_env, oracle_rollout
+from ..envs import TAPE_TASKS, TaskId, draw_latents, oracle_rollout
 
 PROBE_LENGTHS = (30, 100, 500, 1000, 2000)
 MAX_PROBE_LENGTH = 2000
@@ -29,11 +29,8 @@ class GeneralizationRecord:
 
 
 def _count_correct(policy, task, length, episodes, seed_rng):
-    envs = []
-    for _ in range(episodes):
-        env = make_env(task, int(seed_rng.integers(0, 2**63)), (length, length))
-        env.reset()
-        envs.append(env)
+    seeds = [int(seed_rng.integers(0, 2**63)) for _ in range(episodes)]
+    envs = draw_latents(task, seeds, [(length, length)] * episodes)
     if policy == "oracle":
         trajs = [oracle_rollout(env) for env in envs]
     else:
@@ -51,6 +48,8 @@ def generalization_sweep(policy, task: TaskId, lengths=PROBE_LENGTHS,
     exact largest perfect length.  ``policy`` may be the string "oracle"
     to exercise the sweep with the scripted perfect policy.
     """
+    if task not in TAPE_TASKS:
+        raise ValueError(f"length sweeps probe tape tasks, not {task.value}")
     seed_rng = np.random.Generator(np.random.PCG64(seed))
     record = GeneralizationRecord(task=task, episodes_per_length=episodes_per_length)
     last_perfect = 0

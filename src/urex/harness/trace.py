@@ -44,7 +44,7 @@ def render_trace(env, actor="oracle", strategy: str = "binary") -> str:
     elif isinstance(env, TapeEnv):
         header = f"{'t':>4} {'pos':>5} {'obs':>3}  {'action':<12} {'reward':>6}"
         for t, action in enumerate(actions, start=1):
-            pos = (env.row, env.col) if isinstance(env, ReversedAdditionEnv) else env.pos
+            pos = (env.row, env.col) if isinstance(env, ReversedAdditionEnv) else env.col
             before = env.obs_str(obs)
             res = env.step(action)
             rows.append(f"{t:>4} {str(pos):>5} {before:>3}  {env.action_str(action):<12} {res.reward:>6.1f}")

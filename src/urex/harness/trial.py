@@ -10,8 +10,7 @@ import numpy as np
 from ..curriculum import CurriculumState
 from ..envs import TAPE_TASKS, TaskId, draw_latents, make_env
 from ..policy import PolicyDivergence, policy_for_env
-from ..trainers import (DoubleQLearner, JointActionView, PolicyGradientTrainer, QConfig,
-                        TrainConfig)
+from ..trainers import DoubleQLearner, PolicyGradientTrainer, QConfig, TrainConfig
 from .blas import blas_threads
 from .profiles import TrialSpec
 
@@ -90,7 +89,7 @@ def evaluate_greedy(policy, spec: TrialSpec, eval_rng):
         for env in envs:
             env.reset()
     if isinstance(policy, DoubleQLearner):
-        policy, envs = policy.online, [JointActionView(env) for env in envs]
+        policy = policy.online
     batch, _ = policy.rollout(envs, greedy=True)
     perfect = batch.totals >= batch.max_rewards
     return float(batch.totals.mean()), float(perfect.mean())

@@ -5,4 +5,4 @@ from .coefficients import (importance_weights, ment_coefficients,
 from .optim import AdamState, adam_update, clip_gradient
 from .policy_gradient import (METHODS, PolicyGradientTrainer, StepMetrics,
                               TrainConfig, group_coefficients, update)
-from .qlearning import DoubleQLearner, JointActionView, QConfig
+from .qlearning import DoubleQLearner, QConfig

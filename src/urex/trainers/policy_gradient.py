@@ -94,9 +94,9 @@ def update(policy, optim: AdamState, envs, config: TrainConfig, rng):
                                       batch.log_probs.reshape(shape))
     grad = grad_fn(coeffs)
     norm_pre = float(np.linalg.norm(grad))
-    grad = clip_gradient(grad, config.clip_norm)
-    norm_post = float(np.linalg.norm(grad))
-    policy.params.flat[:] = adam_update(policy.params.flat, grad, optim, config.learning_rate)
+    clipped = clip_gradient(grad, config.clip_norm)
+    norm_post = norm_pre if clipped is grad else float(np.linalg.norm(clipped))
+    policy.params.flat[:] = adam_update(policy.params.flat, clipped, optim, config.learning_rate)
     return batch, coeffs, wvar, norm_pre, norm_post
 
 

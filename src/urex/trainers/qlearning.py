@@ -1,7 +1,9 @@
 """One-step double Q-learning baseline on the same recurrent network.
 
 The action-value net reuses the recurrent policy class with a single
-head of one Q-value per joint action.  Episodes are collected with
+head of one Q-value per joint action: index ``j`` enumerates the env's
+head tuples in mixed radix, last head fastest, and the env's
+``decode_action((j,))`` reads it.  Episodes are collected with
 epsilon-greedy control; each step fits the one-step bootstrapped targets
 ``r + gamma * Q_target(s', argmax_a Q_online(s', a))``, syncing the
 target network every ``sync_every`` updates.  Unlike the policy-gradient
@@ -43,39 +45,13 @@ class QConfig:
         return self.eps_start + frac * (self.eps_end - self.eps_start)
 
 
-class JointActionView:
-    """Presents a factored-action env as a single joint-action env."""
-
-    def __init__(self, env):
-        self._env = env
-        self.sizes = tuple(size for _, size in env.action_heads)
-        self.num_actions = int(np.prod(self.sizes))
-        self.action_heads = (("q", self.num_actions),)
-        self.num_observations = env.num_observations
-        self.seed = env.seed
-
-    def decode_action(self, head_tuple):
-        idx = head_tuple[0]
-        factors = []
-        for size in reversed(self.sizes):
-            factors.append(idx % size)
-            idx //= size
-        return self._env.decode_action(tuple(reversed(factors)))
-
-    def clone(self):
-        return JointActionView(self._env.clone())
-
-    def __getattr__(self, name):
-        return getattr(self._env, name)
-
-
 class DoubleQLearner:
     """Online/target recurrent Q-networks with epsilon-greedy episodes."""
 
     def __init__(self, env_template, config: QConfig):
-        view = JointActionView(env_template)
+        joint = int(np.prod([size for _, size in env_template.action_heads]))
         self.config = config
-        self.online = RecurrentPolicy(view.num_observations, view.action_heads,
+        self.online = RecurrentPolicy(env_template.num_observations, (("q", joint),),
                                       config.hidden_size)
         self.online.init_params(np.random.Generator(np.random.PCG64(config.seed)))
         self.target = self.online.spawn_like()
@@ -90,10 +66,9 @@ class DoubleQLearner:
 
     def train_step(self, env) -> dict:
         """Collect one epsilon-greedy episode from ``env`` and fit its targets."""
-        view = JointActionView(env)
-        view.reset()
+        env.reset()
         eps = self.config.epsilon(self.updates)
-        batch, cache = self.online.rollout([view], rng=self.rng, eps=eps, collect=True)
+        batch, cache = self.online.rollout([env], rng=self.rng, eps=eps, collect=True)
         T = int(batch.lengths[0])
         rewards = batch.rewards[0, :T]
         gamma = self.config.discount
@@ -131,6 +106,6 @@ class DoubleQLearner:
         }
 
     def greedy_episode(self, env):
-        trajs, _ = self.online.rollout([JointActionView(env)], greedy=True)
+        trajs, _ = self.online.rollout([env], greedy=True)
         return trajs[0]
 

@@ -16,6 +16,9 @@ from urex.envs.search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, OP_AVG,
                               OP_CMP, OP_DIV, OP_INC, SearchAction)
 from urex.envs.tape import MOVE_LEFT, MOVE_RIGHT, TapeAction
 
+import tape_spec
+from joint_action import JointActionView
+
 TAPE_TASKS = [TaskId.COPY, TaskId.DUPLICATED_INPUT, TaskId.REPEAT_COPY,
               TaskId.REVERSE, TaskId.REVERSED_ADDITION]
 
@@ -141,6 +144,20 @@ def test_reversed_addition_grid():
         s = sum(d * 3**i for i, d in enumerate(env.target))
         assert a + b == s
         assert len(env.target) in (n, n + 1)
+
+
+@pytest.mark.parametrize("task", TAPE_TASKS)
+@given(seed=st.integers(0, 2**63 - 1), lo=st.integers(2, 40), span=st.integers(0, 8))
+def test_reset_draws_the_specified_latent(task, seed, lo, span):
+    env = make_env(task, seed, (lo, lo + span))
+    stream = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(3):  # each reset draws the next latent from the seed stream
+        first = env.reset()
+        grid, target, input_length, step_limit = tape_spec.draw(task, stream, (lo, lo + span))
+        assert (env.grid if task is TaskId.REVERSED_ADDITION else (env.tape,)) == grid
+        assert env.target == target
+        assert env.input_length == input_length and env.step_limit == step_limit
+        assert first == grid[0][0]
 
 
 def test_binary_search_latent_and_registers():
@@ -305,7 +322,45 @@ def test_lockstep_uses_arrays_only_for_tape_envs():
     for env in tape + [search]:
         env.reset()
     assert isinstance(lockstep(tape), TapeLockstep)
+    assert isinstance(lockstep(tape[:1]), RowStepper)  # a lone env steps faster on its own
     assert isinstance(lockstep(tape + [search]), RowStepper)
+
+
+# -- Q-learning's joint action index ---------------------------------------------
+@pytest.mark.parametrize("task", TAPE_TASKS)
+def test_joint_index_decodes_as_the_joint_action_view(task):
+    env = make_env(task, 4, (3, 6))
+    env.reset()
+    view = JointActionView(env)
+    joint = range(view.num_actions)
+    assert [env.decode_action((j,)) for j in joint] == [view.decode_action((j,)) for j in joint]
+    assert env.decode_action((1, 0, 2)) == (1, 0, 2)
+
+
+def test_lockstep_steps_joint_indices_as_their_decoded_actions():
+    """Every joint index of every tape task in one batch, then random ones
+    until every episode ends: one-column steps equal the decoded ones."""
+    envs, joint = [], []
+    for seed, task in enumerate(TAPE_TASKS):
+        env = make_env(task, seed, (3, 6))
+        env.reset()
+        size = JointActionView(env).num_actions
+        envs += [env] * size
+        joint += range(size)
+    views = [JointActionView(env) for env in envs]
+    sizes = np.array([view.num_actions for view in views])
+    joint = np.array(joint)
+    one, three = TapeLockstep(envs), TapeLockstep(envs)
+    rng = np.random.default_rng(0)
+    while not one.done.all():
+        live = np.flatnonzero(~one.done)
+        decoded = np.array([views[b].decode_action((int(joint[b]),)) for b in live])
+        got = one.step(live, joint[live, None])
+        expect = three.step(live, decoded)
+        for value, want in zip(got, expect):
+            assert value.tolist() == want.tolist()
+        joint = rng.integers(0, sizes)
+    assert three.done.all()
 
 
 # -- array latents against make_env + reset --------------------------------------

@@ -16,7 +16,8 @@ import pytest
 
 from urex.envs import TaskId, draw_latents, lockstep, make_env
 from urex.policy import policy_for_env
-from urex.trainers import JointActionView
+
+from joint_action import JointActionView
 
 
 def _log_softmax(z):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ def test_trace_tape_layout():
     lines = text.splitlines()
     assert len(lines) == 1 + 2  # header + two write steps
     assert lines[1].split()[-1] == "1.0"
+
+
+# render_trace(env, "oracle") of make_env(task, seed) after reset(), as
+# `urex trace --task T --seed S` prints it, recorded for seeds 0-2
+GOLDEN_TAPE_TRACES = Path(__file__).with_name("golden_tape_traces.json")
+TAPE_TASKS = [TaskId.COPY, TaskId.DUPLICATED_INPUT, TaskId.REPEAT_COPY, TaskId.REVERSE,
+              TaskId.REVERSED_ADDITION]
+
+
+@pytest.mark.parametrize("task", TAPE_TASKS)
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_tape_trace_matches_the_golden_text(task, seed):
+    env = make_env(task, seed)
+    env.reset()
+    golden = json.loads(GOLDEN_TAPE_TRACES.read_text())
+    assert render_trace(env, "oracle") == golden[f"{task.value}/{seed}"]
 
 
 def test_trace_replay_rewards_reproducible():

@@ -12,7 +12,9 @@ from urex.envs import TAPE_TASKS, Env, EpisodeError, TaskId, draw_latents, make_
 from urex.envs.bandit import BanditEnv
 from urex.policy import (LinearBanditPolicy, RecurrentPolicy, load_policy,
                          policy_for_env, sample_trajectory, save_policy)
-from urex.trainers import DoubleQLearner, JointActionView, QConfig
+from urex.trainers import DoubleQLearner, QConfig
+
+from joint_action import JointActionView
 
 
 def make_copy_policy(hidden=8, seed=0, length=4):

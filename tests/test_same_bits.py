@@ -1,0 +1,32 @@
+"""Row normalisation and the mismatch report of ``tools/same_bits.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
+_SPEC = importlib.util.spec_from_file_location("same_bits", _PATH)
+same_bits = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_bits)
+
+
+def test_rows_lose_only_their_wall_time():
+    rows = [{"step": 1, "wall_ms": 3.25, "mean_reward": 0.1}, {"step": 2, "loss": 1e-17}]
+    jsonl = "".join(json.dumps(row) + "\n" for row in rows)
+    assert same_bits.normalise_rows(jsonl) == (
+        '{"step": 1, "mean_reward": 0.1}\n{"step": 2, "loss": 1e-17}\n')
+    slower = jsonl.replace("3.25", "97.5")
+    assert same_bits.normalise_rows(slower) == same_bits.normalise_rows(jsonl)
+    other = jsonl.replace("0.1", "0.10000000000000002")
+    assert same_bits.normalise_rows(other) != same_bits.normalise_rows(jsonl)
+
+
+def test_mismatches_name_differing_and_one_sided_digests():
+    parent = {"bench desk seed0": "a" * 64, "rows": "b" * 64, "gone": "c" * 64}
+    change = {"bench desk seed0": "a" * 64, "rows": "d" * 64, "new": "e" * 64}
+    assert same_bits.mismatches(parent, change) == [
+        f"rows: parent {'b' * 12} change {'d' * 12}", "gone: only in parent",
+        "new: only in change"]
+    assert same_bits.mismatches(parent, dict(parent)) == []
+    lines = same_bits.table(parent, change).splitlines()
+    assert [line.split()[-1] for line in lines] == ["same", "yes", "NO", "NO", "NO"]

@@ -192,7 +192,7 @@ def test_q_full_exploration_uniform_actions():
         m = learner.train_step(env)
     # replay the learner's own rng draws is awkward; sample fresh episodes instead
     rng = np.random.Generator(np.random.PCG64(5))
-    from urex.trainers import JointActionView
+    from joint_action import JointActionView
 
     view = JointActionView(env)
     for _ in range(n):

@@ -1,0 +1,140 @@
+"""Check that two checkouts give the same bits, and print a table of digests.
+
+    python3 tools/same_bits.py --parent ../parent --change .
+
+Everything runs at ``OPENBLAS_NUM_THREADS=1``.  Two kinds of output are
+compared:
+
+- the digest of ``benchmarks/run.py --workload W --seed S --seconds 1
+  --trace 0`` for W in desk, full, qlearn, bandit and S in 0, 1, 2;
+- fixed desk ``run_trial`` runs (``TRIALS``, seeds 0-2), each reduced
+  to sha256 digests of its metrics JSONL rows without ``wall_ms``, its
+  eval history, its ``record()`` and its final parameters.
+
+The trials run in a child process per checkout that imports ``urex``
+from that checkout's ``src/``.  Exits 1 if any digest differs or is
+missing on one side.  Standard library only in this process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+BENCH_RUNS = [(w, s) for w in ("desk", "full", "qlearn", "bandit") for s in (0, 1, 2)]
+# (task, method, tau, eta, clip, steps) of the fixed desk trials
+TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120),
+          ("DuplicatedInput", "ment", 0.01, 0.1, 10.0, 80),
+          ("Copy", "qlearn", 0.0, 0.01, 10.0, 300),
+          ("BinarySearch", "urex", 0.1, 0.1, 1.0, 20)]
+TRIAL_SEEDS = (0, 1, 2)
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def normalise_rows(jsonl: str) -> str:
+    """A metrics JSONL with each row's ``wall_ms`` dropped; every other
+    field keeps its place and its printed value."""
+    rows = [json.loads(line) for line in jsonl.splitlines() if line.strip()]
+    for row in rows:
+        row.pop("wall_ms", None)
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def mismatches(parent: dict, change: dict) -> list[str]:
+    """Names whose digest differs between the sides or is on one side only."""
+    problems = []
+    for name in {**parent, **change}:
+        if name not in parent or name not in change:
+            problems.append(f"{name}: only in {'parent' if name in parent else 'change'}")
+        elif parent[name] != change[name]:
+            problems.append(f"{name}: parent {parent[name][:12]} change {change[name][:12]}")
+    return problems
+
+
+def table(parent: dict, change: dict) -> str:
+    names = list({**parent, **change})
+    width = max(map(len, names), default=4)
+    lines = [f"{'output':<{width}}  {'parent':<12}  {'change':<12}  same"]
+    for name in names:
+        p, c = parent.get(name, "-"), change.get(name, "-")
+        lines.append(f"{name:<{width}}  {p[:12]:<12}  {c[:12]:<12}  {'yes' if p == c else 'NO'}")
+    return "\n".join(lines)
+
+
+def trial_digests() -> dict:
+    """Digests of the fixed trials, run with the ``urex`` on ``sys.path``."""
+    import math
+
+    import urex
+    from urex.envs import TaskId
+    from urex.harness import make_spec, run_trial
+
+    if not Path(urex.__file__).resolve().is_relative_to(Path.cwd().resolve()):
+        raise SystemExit(f"imported urex from {urex.__file__}, not from {Path.cwd()}")
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for task, method, tau, eta, clip, steps in TRIALS:
+            for seed in TRIAL_SEEDS:
+                spec = make_spec(TaskId.parse(task), method, tau, eta=eta, clip=clip,
+                                 restart_seed=seed, profile="desk", max_steps=steps,
+                                 success_rule="threshold", success_threshold=math.inf)
+                path = Path(tmp) / "metrics.jsonl"
+                result = run_trial(spec, metrics_path=path)
+                params = getattr(result.policy, "online", result.policy).params.flat
+                name = f"{task}/{method}/{steps}/seed{seed}"
+                digests[f"{name} rows"] = sha(normalise_rows(path.read_text()))
+                digests[f"{name} eval"] = sha(json.dumps(result.eval_history))
+                digests[f"{name} record"] = sha(json.dumps(result.record()))
+                digests[f"{name} params"] = hashlib.sha256(params.tobytes()).hexdigest()
+    return digests
+
+
+def side_digests(checkout: Path) -> dict:
+    from bench_pairs import run_once  # beside this file
+
+    digests = {}
+    for workload, seed in BENCH_RUNS:
+        digests[f"bench {workload} seed{seed}"] = run_once(checkout, workload, seed, 1)["digest"]
+        print(f"{checkout}: bench {workload} seed {seed} done", file=sys.stderr)
+    child = subprocess.run([sys.executable, __file__, "--trials-only"], cwd=checkout,
+                           env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+                           capture_output=True, text=True)
+    if child.returncode:
+        raise SystemExit(f"{checkout}: trials failed:\n{child.stderr}")
+    digests.update(json.loads(child.stdout))
+    return digests
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, help="checkout of the change")
+    ap.add_argument("--trials-only", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.trials_only:  # the child process: urex comes from PYTHONPATH
+        print(json.dumps(trial_digests()))
+        return 0
+    if args.parent is None or args.change is None:
+        ap.error("--parent and --change are required")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # benchmark runs inherit it
+    digests = {side: side_digests(getattr(args, side).resolve()) for side in SIDES}
+    print(table(*(digests[side] for side in SIDES)))
+    problems = mismatches(*(digests[side] for side in SIDES))
+    for problem in problems:
+        print(f"MISMATCH {problem}")
+    print(f"{len(problems)} mismatches")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
