@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+ALPHA_TOL, ALPHA_MAX_ITER = 1e-13, 200  # optimal_policy_urex's bisection for alpha
+
 
 @dataclass
 class SmallProblem:
@@ -66,7 +68,7 @@ def entropy_regularized_return(p: SmallProblem, policy) -> float:
     return float(np.sum(policy * (p.rewards - p.tau * np.log(policy))))
 
 
-def optimal_policy_urex(p: SmallProblem, tol: float = 1e-13, max_iter: int = 200) -> AlphaSolution:
+def optimal_policy_urex(p: SmallProblem) -> AlphaSolution:
     """Solve for the maximizer of the combined objective.
 
     The optimum has the form ``tau * pi_star / (alpha - r)`` with the
@@ -87,7 +89,7 @@ def optimal_policy_urex(p: SmallProblem, tol: float = 1e-13, max_iter: int = 200
     hi = rmax + tau
     while total(hi) > 1.0:  # safety net; cannot trigger for a true softmax pstar
         hi = rmax + 2.0 * (hi - rmax)
-    for _ in range(max_iter):
+    for _ in range(ALPHA_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
             break
@@ -95,7 +97,7 @@ def optimal_policy_urex(p: SmallProblem, tol: float = 1e-13, max_iter: int = 200
             lo = mid
         else:
             hi = mid
-        if abs(total(hi) - 1.0) <= tol:
+        if abs(total(hi) - 1.0) <= ALPHA_TOL:
             break
     alpha = hi
     if abs(total(alpha) - 1.0) > 1e-10:

@@ -17,9 +17,9 @@ from .oracles import oracle_rollout
 from .search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, BinarySearchEnv,
                      SearchAction, action_from_index, action_index,
                      scripted_binary_search, scripted_linear_search)
-from .tape import (TAPE_ENV_TYPES, CopyEnv, DuplicatedInputEnv, RepeatCopyEnv,
-                   ReverseEnv, ReversedAdditionEnv, TapeAction, TapeEnv, TapeLatents,
-                   TapeLockstep, lockstep, repeat_envs)
+from .tape import (CopyEnv, DuplicatedInputEnv, RepeatCopyEnv, ReverseEnv,
+                   ReversedAdditionEnv, TapeAction, TapeEnv, TapeLatents, TapeLockstep,
+                   lockstep, repeat_envs)
 
 
 class TaskId(enum.Enum):

@@ -5,9 +5,9 @@ from __future__ import annotations
 from ..types import Trajectory
 from .base import Env, EpisodeError
 from .search import BinarySearchEnv, action_index, oracle_search_rollout
-from .tape import (MOVE_LEFT, MOVE_RIGHT, TAPE_ENV_TYPES, CopyEnv,
-                   DuplicatedInputEnv, RepeatCopyEnv, ReverseEnv,
-                   ReversedAdditionEnv, TapeAction)
+from .tape import (MOVE_LEFT, MOVE_RIGHT, CopyEnv, DuplicatedInputEnv,
+                   RepeatCopyEnv, ReverseEnv, ReversedAdditionEnv, TapeAction,
+                   TapeEnv)
 
 
 def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:
@@ -21,7 +21,7 @@ def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:
     if isinstance(env, BinarySearchEnv):
         actions, rewards, observations = oracle_search_rollout(env, strategy)
         actions = [(action_index(a),) for a in actions]  # store head-index tuples
-    elif isinstance(env, TAPE_ENV_TYPES):
+    elif isinstance(env, TapeEnv):
         actions = _tape_oracle_actions(env)
         rewards, observations = _apply(env, obs0, actions)
     else:

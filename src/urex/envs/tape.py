@@ -29,6 +29,12 @@ class TapeAction(NamedTuple):
     symbol: int  # ignored by the env when write is 0
 
 
+def decode_joint(j, base: int):
+    """Joint action index ``j`` (an int or an int array) of a task with
+    ``base`` symbols as its ``(move, write, symbol)``."""
+    return j // (2 * base), j // base % 2, j % base
+
+
 class TapeEnv(Env):
     """Common emission/reward/step-limit logic for all tape tasks.
 
@@ -99,11 +105,10 @@ class TapeEnv(Env):
 
     def decode_action(self, head_tuple):
         """A (move, write, symbol) triple as it is, and a one-entry joint
-        index ``j`` as ``(j // (2 * base), j // base % 2, j % base)``."""
+        index as ``decode_joint`` reads it."""
         if len(head_tuple) != 1:
             return head_tuple
-        j = head_tuple[0]
-        return j // (2 * self.base), j // self.base % 2, j % self.base
+        return decode_joint(head_tuple[0], self.base)
 
     def step(self, action) -> StepResult:
         self._require_running()
@@ -198,9 +203,6 @@ class ReversedAdditionEnv(TapeEnv):
         return np.array(digits, dtype=np.int64)
 
 
-TAPE_ENV_TYPES = (CopyEnv, DuplicatedInputEnv, RepeatCopyEnv, ReverseEnv, ReversedAdditionEnv)
-
-
 _CAUSES = np.array([None, COMPLETED, WRONG_EMISSION, STEP_LIMIT], dtype=object)
 # reward by 2 * cause + correct: a correct emission pays +1 (also when it
 # completes), a wrong one -0.5, and the step limit -1 on top
@@ -210,7 +212,7 @@ _ROW_SHIFT, _COL_SHIFT = np.array(_ROW_STEP), np.array(_COL_STEP)
 
 
 class TapeLatents:
-    """Latent states of tape-task episodes, held in padded arrays.
+    """Latent states of one tape task's episodes, held in padded arrays.
 
     Row ``b`` reads latent ``rows[b]``.  A latent's grid (its tape as one
     row for the 1-D tasks) sits in ``grid`` inside a border of blanks,
@@ -218,66 +220,38 @@ class TapeLatents:
     blank, so clipping a pointer to the border reads what the scalar env
     observes.  Targets are padded with ``_NO_SYMBOL``.
 
-    As a sequence it holds envs: indexing or iterating gives back a
+    As a sequence it holds envs: indexing (and so iterating) gives back a
     reset ``TapeEnv`` equal to ``make_env(task, seed, length_range)``
     after ``reset()``, built without drawing again.  Like ``Env.clone``
     copies, envs given back share their latent but have no seed stream.
-    Latents made ``from_envs`` give back the envs they were made from.
     """
 
-    def __init__(self, grid, width, target, target_len, blank, n_moves, seeds, rows=None,
-                 envs=None, env_type=None, task=None, length_ranges=None):
-        self.grid, self.width, self.blank, self.n_moves = grid, width, blank, n_moves
-        self.target, self.target_len, self.seeds = target, target_len, seeds
-        self.rows = np.arange(len(seeds)) if rows is None else rows
+    def __init__(self, task, env_type, seeds, length_ranges, grid, width, target, target_len):
+        self.task, self.env_type = task, env_type
+        self.seeds, self.length_ranges = seeds, length_ranges
+        self.grid, self.width, self.target, self.target_len = grid, width, target, target_len
+        self.rows = np.arange(len(seeds))
         self.step_limit = 4 * width + 4
-        self.num_observations = int(blank.max()) + 1
-        self._envs = envs
-        self._env_type, self._task, self._length_ranges = env_type, task, length_ranges
 
     @classmethod
-    def _from_grids(cls, grids, targets, blank, n_moves, seeds, **kw):
-        shape = (len(grids), max(g.shape[0] for g in grids) + 2,
-                 max(g.shape[1] for g in grids) + 2)
-        padded = np.empty(shape, dtype=np.int64)
-        padded[:] = blank[:, None, None]
+    def draw(cls, task, env_type, seeds, length_ranges) -> "TapeLatents":
+        """Latent ``j`` drawn from its own ``PCG64(seeds[j])`` stream, in the
+        order ``env_type._draw_latent`` draws it."""
+        grids = []
+        for seed, (lo, hi) in zip(seeds, length_ranges):
+            stream = np.random.Generator(np.random.PCG64(seed))
+            grids.append(env_type._draw_grid(stream, int(stream.integers(lo, hi + 1))))
+        targets = [env_type._grid_target(grid) for grid in grids]
+        shape = (len(grids), grids[0].shape[0] + 2, max(g.shape[1] for g in grids) + 2)
+        padded = np.full(shape, env_type.base, dtype=np.int64)
         target_len = np.array([t.size for t in targets])
         target = np.full((len(targets), target_len.max() + 1), _NO_SYMBOL, dtype=np.int64)
         for j, (grid, tgt) in enumerate(zip(grids, targets)):
             padded[j, 1 : 1 + grid.shape[0], 1 : 1 + grid.shape[1]] = grid
             target[j, : tgt.size] = tgt
         width = np.array([g.shape[1] for g in grids])
-        return cls(padded, width, target, target_len, blank, n_moves,
-                   np.array(seeds, dtype=object), **kw)
-
-    @classmethod
-    def draw(cls, task, env_type, seeds, length_ranges) -> "TapeLatents":
-        """Latent ``j`` drawn from its own ``PCG64(seeds[j])`` stream, in the
-        order ``env_type._draw_latent`` draws it."""
-        grids, targets = [], []
-        for seed, (lo, hi) in zip(seeds, length_ranges):
-            stream = np.random.Generator(np.random.PCG64(seed))
-            grids.append(env_type._draw_grid(stream, int(stream.integers(lo, hi + 1))))
-            targets.append(env_type._grid_target(grids[-1]))
-        n = len(grids)
-        return cls._from_grids(grids, targets, np.full(n, env_type.base),
-                               np.full(n, env_type.n_moves), seeds, env_type=env_type,
-                               task=task, length_ranges=list(length_ranges))
-
-    @classmethod
-    def from_envs(cls, envs) -> "TapeLatents":
-        """The latents of reset tape envs, which may repeat: each distinct
-        env object's arrays are built once."""
-        ids = np.fromiter(map(id, envs), dtype=np.int64, count=len(envs))
-        _, first, owner = np.unique(ids, return_index=True, return_inverse=True)
-        distinct = [envs[b] for b in first.tolist()]
-        if not all(env._has_latent for env in distinct):
-            raise EpisodeError("reset() must be called before restart()")
-        grids = [np.array(env.grid) for env in distinct]
-        targets = [np.array(env.target, dtype=np.int64) for env in distinct]
-        return cls._from_grids(grids, targets, np.array([env.blank for env in distinct]),
-                               np.array([env.n_moves for env in distinct]),
-                               [env.seed for env in distinct], rows=owner, envs=distinct)
+        return cls(task, env_type, np.array(seeds, dtype=object), list(length_ranges), padded,
+                   width, target, target_len)
 
     def repeat(self, k: int) -> "TapeLatents":
         """Each row ``k`` times in a row; the arrays are shared, not copied."""
@@ -290,43 +264,34 @@ class TapeLatents:
 
     def __getitem__(self, b: int) -> TapeEnv:
         j = int(self.rows[b])
-        if self._envs is not None:
-            return self._envs[j]
-        env = self._env_type.__new__(self._env_type)
-        vars(env).update(seed=self.seeds[j], task=self._task, _stream=None, _has_latent=True,
-                         length_range=tuple(self._length_ranges[j]), done=False, steps=0)
+        env = self.env_type.__new__(self.env_type)
+        vars(env).update(seed=self.seeds[j], task=self.task, _stream=None, _has_latent=True,
+                         length_range=tuple(self.length_ranges[j]), done=False, steps=0)
         env._set_grid(self.grid[j, 1:-1, 1 : 1 + self.width[j]])
         env._begin()
         return env
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
 
 class TapeLockstep:
-    """B tape-task episodes stepped together on array state.
+    """B episodes of one tape task stepped together on array state.
 
     Each row follows ``TapeEnv.step`` exactly: same observations,
-    rewards, termination causes and errors.  ``envs`` is a
-    ``TapeLatents`` or a list of reset tape envs, which only supply their
-    latent state; they are neither restarted nor stepped.
+    rewards, termination causes and errors.  The ``TapeLatents`` given
+    only supply their latent state; no env is built or stepped.
     """
 
-    def __init__(self, envs):
-        latents = envs if isinstance(envs, TapeLatents) else TapeLatents.from_envs(envs)
+    def __init__(self, latents: TapeLatents):
         owner = latents.rows
         self.grid = latents.grid[owner]
         self.target, self.target_len = latents.target[owner], latents.target_len[owner]
-        self.step_limit, self.n_moves = latents.step_limit[owner], latents.n_moves[owner]
-        self.base = latents.blank[owner]
+        self.step_limit = latents.step_limit[owner]
         self.max_rewards = self.target_len.astype(float)
         self.seeds = latents.seeds[owner]
-        self.num_observations = latents.num_observations
+        self.task = latents.task
+        self.base, self.n_moves = latents.env_type.base, latents.env_type.n_moves
+        self.num_observations = self.base + 1
         self._max_row, self._max_col = self.grid.shape[1] - 1, self.grid.shape[2] - 1
-        self._fewest_moves = int(self.n_moves.min())
-        self._moves_rows = int(self.n_moves.max()) > 2  # up/down moves exist
-        self.envs = envs
-        B = len(envs)
+        B = owner.size
         # pointers are kept shifted by the border: cell (r, c) is at (r + 1, c + 1)
         self.row = np.ones(B, dtype=np.int64)
         self.col = np.ones(B, dtype=np.int64)
@@ -337,21 +302,17 @@ class TapeLockstep:
 
     def step(self, rows, head_actions):
         """Step episodes ``rows`` with (move, write, symbol) ``head_actions``,
-        or one joint index per row as ``TapeEnv.decode_action`` reads it;
-        returns (obs, reward, done, cause) arrays over ``rows``."""
+        or one joint index per row as ``decode_joint`` reads it; returns
+        (obs, reward, done, cause) arrays over ``rows``."""
         if self.done[rows].any():
             raise EpisodeError("step() called on a finished episode")
         if head_actions.shape[1] == 1:
-            j, base = head_actions[:, 0], self.base[rows]
-            move, write, symbol = j // (2 * base), j // base % 2, j % base
+            move, write, symbol = decode_joint(head_actions[:, 0], self.base)
         else:
             move, write, symbol = head_actions.T
-        if move.min() < 0 or move.max() >= self._fewest_moves:
-            bad = (move < 0) | (move >= self.n_moves[rows])
-            if bad.any():
-                first = int(np.argmax(bad))
-                raise ValueError(f"move {move[first]} out of range for "
-                                 f"{self.envs[int(rows[first])].task}")
+        if move.min() < 0 or move.max() >= self.n_moves:
+            bad = move[(move < 0) | (move >= self.n_moves)][0]
+            raise ValueError(f"move {bad} out of range for {self.task}")
         steps = self.steps[rows] + 1
         emitted = self.emitted[rows]
         writes = write != 0
@@ -370,7 +331,7 @@ class TapeLockstep:
         col = self.col[rows] + _COL_SHIFT[move]
         self.col[rows] = col
         row = 1  # 1-D tapes: the pointer stays on the tape's row
-        if self._moves_rows:
+        if self.n_moves > 2:  # up/down moves exist
             row = self.row[rows] + _ROW_SHIFT[move]
             self.row[rows] = row
             row = np.minimum(np.maximum(row, 0), self._max_row)
@@ -386,10 +347,7 @@ def repeat_envs(envs, k: int):
 
 
 def lockstep(envs):
-    """Lockstep stepper for ``envs``: array state for ``TapeLatents`` and
-    for several envs that are all of the tape tasks, otherwise each env's
-    scalar ``step`` row by row (a lone env steps faster on its own)."""
-    if isinstance(envs, TapeLatents) or (len(envs) > 1 and all(type(env) in TAPE_ENV_TYPES
-                                                               for env in envs)):
-        return TapeLockstep(envs)
-    return RowStepper(envs)
+    """Lockstep stepper for ``envs``: array state for drawn ``TapeLatents``,
+    which hold one task, and each env's scalar ``step`` row by row for any
+    other sequence of envs."""
+    return TapeLockstep(envs) if isinstance(envs, TapeLatents) else RowStepper(envs)

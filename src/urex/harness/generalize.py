@@ -39,14 +39,13 @@ def _count_correct(policy, task, length, episodes, seed_rng):
 
 
 def generalization_sweep(policy, task: TaskId, lengths=PROBE_LENGTHS,
-                         episodes_per_length: int = 100, seed: int = 0,
-                         refine: bool = True) -> GeneralizationRecord:
+                         episodes_per_length: int = 100, seed: int = 0) -> GeneralizationRecord:
     """Probe each length with fresh random instances, greedy decoding.
 
-    Probing stops at the first length with any mistake; ``refine`` then
-    bisects between the last perfect and first imperfect probe for the
-    exact largest perfect length.  ``policy`` may be the string "oracle"
-    to exercise the sweep with the scripted perfect policy.
+    Probing stops at the first length with any mistake, then bisects
+    between the last perfect and first imperfect probe for the exact
+    largest perfect length.  ``policy`` may be the string "oracle" to
+    exercise the sweep with the scripted perfect policy.
     """
     if task not in TAPE_TASKS:
         raise ValueError(f"length sweeps probe tape tasks, not {task.value}")
@@ -62,7 +61,7 @@ def generalization_sweep(policy, task: TaskId, lengths=PROBE_LENGTHS,
         else:
             first_imperfect = length
             break
-    if refine and first_imperfect is not None and last_perfect > 0:
+    if first_imperfect is not None and last_perfect > 0:
         lo, hi = last_perfect, first_imperfect  # accuracy perfect at lo, not at hi
         while hi - lo > 1:
             mid = (lo + hi) // 2

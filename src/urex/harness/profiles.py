@@ -37,6 +37,7 @@ CLIPS = (1.0, 10.0, 40.0, 100.0)
 RESTARTS = 5
 MENT_TAUS = (0.0, 0.005, 0.01, 0.1)
 UREX_TAUS = (0.1,)
+EVAL_EVERY, EVAL_EPISODES = 50, 100  # greedy evaluation: how often, how many episodes
 
 
 @dataclass
@@ -45,8 +46,6 @@ class Profile:
     hidden_size: int
     length_cap: int
     success_rule: str  # "threshold" | "perfect"
-    eval_every: int = 50
-    eval_episodes: int = 100
     step_scale: float = 1.0
 
     def max_steps(self, task: TaskId) -> int:
@@ -77,8 +76,8 @@ class TrialSpec:
     length_cap: int = 33
     success_rule: str = "threshold"
     success_threshold: float | None = None
-    eval_every: int = 50
-    eval_episodes: int = 100
+    eval_every: int = EVAL_EVERY
+    eval_episodes: int = EVAL_EPISODES
     profile: str = "full"
 
     def key(self) -> str:
@@ -115,8 +114,6 @@ def make_spec(task: TaskId, method: str, tau: float, eta: float = 0.01,
         length_cap=prof.length_cap,
         success_rule=prof.success_rule,
         success_threshold=SUCCESS_THRESHOLDS.get(task),
-        eval_every=prof.eval_every,
-        eval_episodes=prof.eval_episodes,
         profile=profile,
     )
     return replace(spec, **overrides) if overrides else spec

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 MAX_CHECK_PARAMS = 5000
+EPSILON = 1e-5  # central-difference step
 
 
-def finite_diff_check(policy, trajectories, coefficients, epsilon: float = 1e-5,
-                      env=None) -> float:
+def finite_diff_check(policy, trajectories, coefficients, env=None) -> float:
     """Max relative error between analytic and central-difference gradients
     of ``sum_j coeff_j * log pi(trajectory_j)``.
 
@@ -34,12 +34,12 @@ def finite_diff_check(policy, trajectories, coefficients, epsilon: float = 1e-5,
     fd = np.zeros_like(flat)
     for idx in range(flat.size):
         orig = flat[idx]
-        flat[idx] = orig + epsilon
+        flat[idx] = orig + EPSILON
         up = value()
-        flat[idx] = orig - epsilon
+        flat[idx] = orig - EPSILON
         down = value()
         flat[idx] = orig
-        fd[idx] = (up - down) / (2.0 * epsilon)
+        fd[idx] = (up - down) / (2.0 * EPSILON)
 
     floor = 1e-3 * max(1.0, float(np.abs(fd).max()))
     denom = np.maximum(floor, np.maximum(np.abs(fd), np.abs(analytic)))

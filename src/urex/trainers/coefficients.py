@@ -51,13 +51,18 @@ def urex_coefficients(rewards, log_probs, tau: float, *, num_groups: int = 1,
     estimator-expectation tests, where the baseline's small finite-K bias
     would obscure the comparison).
     """
+    return _urex_terms(rewards, log_probs, tau, num_groups, center_rewards)[0]
+
+
+def _urex_terms(rewards, log_probs, tau: float, num_groups: int, center_rewards: bool = True):
+    """``urex_coefficients`` and the importance weights they are made from."""
     rewards = np.asarray(rewards, dtype=float)
     k = rewards.shape[-1]
     if k < 2 and center_rewards:
         raise ValueError("reward centering needs K >= 2")
     r_hat = rewards - rewards.mean(axis=-1, keepdims=True) if center_rewards else rewards
     w_hat = importance_weights(rewards, log_probs, tau)
-    return (r_hat / k + tau * w_hat) / num_groups
+    return (r_hat / k + tau * w_hat) / num_groups, w_hat
 
 
 def ment_coefficients(rewards, log_probs, tau: float, *, num_groups: int = 1,

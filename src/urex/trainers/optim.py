@@ -17,6 +17,9 @@ def clip_gradient(grad: np.ndarray, max_norm: float) -> np.ndarray:
     return grad * (max_norm / norm)
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for one parameter vector."""
@@ -24,13 +27,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def like(cls, params: np.ndarray, **kw) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params), **kw)
+    def like(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState,
@@ -40,17 +40,17 @@ def adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState,
     ``state`` is updated in place; ``params`` is not mutated.
     """
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    scratch = (1.0 - state.beta2) * grad
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grad
+    scratch = (1.0 - BETA2) * grad
     scratch *= grad
-    state.v *= state.beta2
+    state.v *= BETA2
     state.v += scratch
-    step = np.divide(state.m, 1.0 - state.beta1**state.t)  # m_hat
+    step = np.divide(state.m, 1.0 - BETA1**state.t)  # m_hat
     step *= learning_rate
-    denom = np.divide(state.v, 1.0 - state.beta2**state.t, out=scratch)  # v_hat
+    denom = np.divide(state.v, 1.0 - BETA2**state.t, out=scratch)  # v_hat
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     step /= denom
     step += params
     return step

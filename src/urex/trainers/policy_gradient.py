@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import (importance_weights, ment_coefficients,
-                           urex_coefficients, weight_variance)
+from .coefficients import _urex_terms, ment_coefficients, weight_variance
 from .optim import AdamState, adam_update, clip_gradient
 
 METHODS = ("ment", "urex")
@@ -74,9 +73,8 @@ def group_coefficients(config: TrainConfig, rewards, log_probs) -> tuple[np.ndar
     """
     n = rewards.shape[0]
     if config.method == "urex":
-        coeffs = urex_coefficients(rewards, log_probs, config.tau, num_groups=n)
-        variances = weight_variance(importance_weights(rewards, log_probs, config.tau))
-        return coeffs.ravel(), float(np.mean(variances))
+        coeffs, weights = _urex_terms(rewards, log_probs, config.tau, n)
+        return coeffs.ravel(), float(np.mean(weight_variance(weights)))
     return ment_coefficients(rewards, log_probs, config.tau, num_groups=n).ravel(), None
 
 
@@ -106,7 +104,8 @@ class PolicyGradientTrainer:
     ``env_factory(seed, length)`` must return an unreset environment;
     ``length`` is None when no curriculum is attached.  A factory that
     also has ``latents(seeds, lengths)`` gives the batch's reset envs in
-    one call (``urex.envs.draw_latents`` for the tape tasks).
+    one call (``urex.envs.draw_latents`` for the tape tasks, whose batch
+    then steps on arrays); without it, tape tasks step row by row.
     """
 
     def __init__(self, policy, env_factory, config: TrainConfig, curriculum=None):

@@ -248,16 +248,23 @@ STEP_PLANS = st.lists(st.tuples(st.integers(-1, 4), st.sampled_from(STEP_KINDS),
                       max_size=40)
 
 
+def reset_envs(task, seeds, length_range):
+    """``make_env`` + ``reset`` envs: what ``draw_latents`` draws for the
+    same seeds and range."""
+    envs = [make_env(task, seed, length_range) for seed in seeds]
+    for env in envs:
+        env.reset()
+    return envs
+
+
 @pytest.mark.parametrize("task", TAPE_TASKS)
 @given(seed=st.integers(0, 2**32 - 1), plans=st.lists(STEP_PLANS, min_size=1, max_size=4))
 @example(seed=0, plans=[[(3, "silent", 0)] * 40, [(1, "correct", 0)] * 40, [(2, "random", 4)] * 3])
 @example(seed=1, plans=[[(0, "silent", 0)] * 4 + [(1, "correct", 0)] * 40, [(1, "skip", 0)] * 5])
 def test_lockstep_matches_scalar_env(task, seed, plans):
-    envs = [make_env(task, seed + i, (2, 5)) for i in range(len(plans))]
-    for env in envs:
-        env.reset()
-    stepper = TapeLockstep(envs)
-    scalar = [env.clone() for env in envs]
+    seeds = [seed + i for i in range(len(plans))]
+    stepper = TapeLockstep(draw_latents(task, seeds, [(2, 5)] * len(plans)))
+    scalar = reset_envs(task, seeds, (2, 5))
     assert stepper.first_obs.tolist() == [env.restart() for env in scalar]
     t = 0
     while not all(env.done for env in scalar):
@@ -284,46 +291,39 @@ def test_lockstep_matches_scalar_env(task, seed, plans):
 
 @pytest.mark.parametrize("task", TAPE_TASKS)
 def test_lockstep_rejects_out_of_range_move_like_scalar_env(task):
-    envs = [make_env(task, seed, (3, 3)) for seed in range(3)]
-    for env in envs:
-        env.reset()
-    for move in (-1, envs[1].n_moves):
+    env = reset_envs(task, [1], (3, 3))[0]
+    for move in (-1, env.n_moves):
         actions = np.array([TapeAction(MOVE_RIGHT, 0, 0), TapeAction(move, 0, 0),
                             TapeAction(MOVE_LEFT, 0, 0)])
         with pytest.raises(ValueError) as scalar_err:
-            envs[1].clone().step(TapeAction(move, 0, 0))
+            env.clone().step(TapeAction(move, 0, 0))
         with pytest.raises(ValueError, match=re.escape(str(scalar_err.value))):
-            TapeLockstep(envs).step(np.arange(3), actions)
+            TapeLockstep(draw_latents(task, [0, 1, 2], [(3, 3)] * 3)).step(np.arange(3), actions)
 
 
 @pytest.mark.parametrize("task", TAPE_TASKS)
 def test_lockstep_correct_emission_on_the_limit_step(task):
     # the +1 of a correct, non-final emission and the -1 of the limit add up
-    env = make_env(task, 5, (4, 4))
-    env.reset()
-    stepper, scalar = TapeLockstep([env]), env.clone()
-    for t in range(env.step_limit):
-        action = TapeAction(MOVE_RIGHT, int(t == env.step_limit - 1), env.target[0])
+    stepper = TapeLockstep(draw_latents(task, [5], [(4, 4)]))
+    scalar = reset_envs(task, [5], (4, 4))[0]
+    for t in range(scalar.step_limit):
+        action = TapeAction(MOVE_RIGHT, int(t == scalar.step_limit - 1), scalar.target[0])
         expect = scalar.step(action)
         obs, reward, done, cause = stepper.step(np.array([0]), np.array([action]))
         assert (obs[0], reward[0], done[0], cause[0]) == tuple(expect)
     assert expect.reward == 0.0 and expect.cause == STEP_LIMIT
 
 
-def test_lockstep_requires_reset_envs():
-    env = make_env(TaskId.COPY, 3, (3, 3))
-    with pytest.raises(EpisodeError):
-        TapeLockstep([env])
-
-
 def test_lockstep_uses_arrays_only_for_tape_envs():
+    latents = draw_latents(TaskId.COPY, [1, 2, 3], [(3, 3)] * 3)
+    assert isinstance(lockstep(latents), TapeLockstep)
+    assert isinstance(lockstep(latents.repeat(2)), TapeLockstep)
     tape = [make_env(task, 1, (3, 3)) for task in TAPE_TASKS]
     search = make_env(TaskId.BINARY_SEARCH, 1)
     for env in tape + [search]:
         env.reset()
-    assert isinstance(lockstep(tape), TapeLockstep)
-    assert isinstance(lockstep(tape[:1]), RowStepper)  # a lone env steps faster on its own
-    assert isinstance(lockstep(tape + [search]), RowStepper)
+    for envs in (list(latents), tape[:1] * 4, tape, tape[:1], tape + [search], [search] * 2):
+        assert isinstance(lockstep(envs), RowStepper)
 
 
 # -- Q-learning's joint action index ---------------------------------------------
@@ -337,29 +337,24 @@ def test_joint_index_decodes_as_the_joint_action_view(task):
     assert env.decode_action((1, 0, 2)) == (1, 0, 2)
 
 
-def test_lockstep_steps_joint_indices_as_their_decoded_actions():
-    """Every joint index of every tape task in one batch, then random ones
-    until every episode ends: one-column steps equal the decoded ones."""
-    envs, joint = [], []
-    for seed, task in enumerate(TAPE_TASKS):
-        env = make_env(task, seed, (3, 6))
-        env.reset()
-        size = JointActionView(env).num_actions
-        envs += [env] * size
-        joint += range(size)
-    views = [JointActionView(env) for env in envs]
-    sizes = np.array([view.num_actions for view in views])
-    joint = np.array(joint)
-    one, three = TapeLockstep(envs), TapeLockstep(envs)
+@pytest.mark.parametrize("task", TAPE_TASKS)
+def test_lockstep_steps_joint_indices_as_their_decoded_actions(task):
+    """Every joint index of the task in one batch, then random ones until
+    every episode ends: one-column steps equal the decoded ones."""
+    view = JointActionView(reset_envs(task, [4], (3, 6))[0])
+    size = view.num_actions
+    latents = draw_latents(task, [4], [(3, 6)]).repeat(size)
+    joint = np.arange(size)
+    one, three = TapeLockstep(latents), TapeLockstep(latents)
     rng = np.random.default_rng(0)
     while not one.done.all():
         live = np.flatnonzero(~one.done)
-        decoded = np.array([views[b].decode_action((int(joint[b]),)) for b in live])
+        decoded = np.array([view.decode_action((int(joint[b]),)) for b in live])
         got = one.step(live, joint[live, None])
         expect = three.step(live, decoded)
         for value, want in zip(got, expect):
             assert value.tolist() == want.tolist()
-        joint = rng.integers(0, sizes)
+        joint = rng.integers(0, size, size)
     assert three.done.all()
 
 

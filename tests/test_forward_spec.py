@@ -6,9 +6,10 @@ log-softmax and one cumulative-sum draw per head, steps scalar env
 clones row by row, and backpropagates with a full-batch state gradient.
 The policy under test holds only the running rows, runs the first
 step's cell once per distinct first observation, fuses its heads, steps
-envs on array state and stops BPTT's first step once its input-weight
-gradients are in; every output, every cached array and every gradient
-must equal the specification's exactly.
+drawn latents on array state (and lists of envs row by row) and stops
+BPTT's first step once its input-weight gradients are in; every output,
+every cached array and every gradient must equal the specification's
+exactly.
 """
 
 import numpy as np
@@ -204,23 +205,24 @@ def assert_cache_matches(cache, steps, B):
 
 
 def make_envs(kind):
-    """Four latents, each listed three times, with mixed episode lengths."""
-    if kind == "BinarySearch":
-        group = [make_env(TaskId.BINARY_SEARCH, seed, (6, 12)) for seed in range(4)]
-    else:
-        task = TaskId.COPY if kind in ("Copy-joint", "Copy-latents") else TaskId.parse(kind)
-        group = [make_env(task, seed, (2, 6)) for seed in range(4)]
+    """Four latents, each listed three times, with mixed episode lengths:
+    a list of envs, stepped row by row, or for "-latents" kinds drawn
+    latents, stepped on arrays."""
+    name, _, form = kind.partition("-")
+    task = TaskId.parse(name)
+    if form == "latents":
+        return draw_latents(task, list(range(4)), [(2, 6)] * 4).repeat(3)
+    length_range = (6, 12) if task is TaskId.BINARY_SEARCH else (2, 6)
+    group = [make_env(task, seed, length_range) for seed in range(4)]
     for env in group:
         env.reset()
-    if kind == "Copy-joint":
+    if form == "joint":
         group = [JointActionView(env) for env in group]
-    if kind == "Copy-latents":
-        return draw_latents(TaskId.COPY, list(range(4)), [(2, 6)] * 4).repeat(3)
     return [env for env in group for _ in range(3)]
 
 
 KINDS = ["Copy", "DuplicatedInput", "ReversedAddition", "BinarySearch", "Copy-joint",
-         "Copy-latents"]
+         "Copy-latents", "DuplicatedInput-latents", "ReversedAddition-latents"]
 MODES = {"sampled": {}, "greedy": {"greedy": True}, "eps_greedy": {"eps": 0.3}}
 
 

@@ -231,7 +231,7 @@ def test_trace_replay_rewards_reproducible():
 def test_generalization_oracle_perfect_everywhere():
     record = generalization_sweep("oracle", TaskId.COPY,
                                   lengths=(30, 100, 500, 1000, 2000),
-                                  episodes_per_length=5, seed=1, refine=False)
+                                  episodes_per_length=5, seed=1)
     assert [correct for _, correct in record.rows] == [5] * 5
     assert record.max_perfect_length == 2000
     csv = record.to_csv()
@@ -262,8 +262,7 @@ def test_generalization_refinement_finds_exact_cutoff():
                           total_reward=-0.5, max_total_reward=env.max_total_reward())
 
     record = generalization_sweep(LengthCappedActor(73), TaskId.COPY,
-                                  lengths=(30, 100), episodes_per_length=4,
-                                  seed=2, refine=True)
+                                  lengths=(30, 100), episodes_per_length=4, seed=2)
     assert record.rows[0] == (30, 4)
     assert record.rows[1][1] < 4
     assert record.max_perfect_length == 73

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from urex.envs import TAPE_TASKS, Env, EpisodeError, TaskId, draw_latents, make_env
+from urex.envs import (TAPE_TASKS, Env, EpisodeError, TapeLatents, TaskId, draw_latents,
+                       make_env)
 from urex.envs.bandit import BanditEnv
 from urex.policy import (LinearBanditPolicy, RecurrentPolicy, load_policy,
                          policy_for_env, sample_trajectory, save_policy)
@@ -136,16 +137,33 @@ def test_rollout_leaves_its_envs_untouched(kind):
 
 @pytest.mark.parametrize("task", TAPE_TASKS)
 def test_collect_on_tape_envs_makes_no_clone(task, monkeypatch):
-    envs = [make_env(task, seed, (2, 5)) for seed in range(20)]
-    for env in envs:
-        env.reset()
-    pol = policy_for_env(envs[0], hidden_size=4)
+    latents = draw_latents(task, list(range(20)), [(2, 5)] * 20)
+    pol = policy_for_env(latents[0], hidden_size=4)
     pol.init_params(np.random.Generator(np.random.PCG64(0)))
-    clones = []
-    real_clone = Env.clone
-    monkeypatch.setattr(Env, "clone", lambda env: clones.append(env) or real_clone(env))
-    batch, _ = pol.collect(envs, 10, np.random.Generator(np.random.PCG64(1)))
-    assert len(batch) == 200 and clones == []
+    built = []
+    real_clone, real_getitem = Env.clone, TapeLatents.__getitem__
+    monkeypatch.setattr(Env, "clone", lambda env: built.append(env) or real_clone(env))
+    monkeypatch.setattr(TapeLatents, "__getitem__",
+                        lambda self, b: built.append(b) or real_getitem(self, b))
+    batch, _ = pol.collect(latents, 10, np.random.Generator(np.random.PCG64(1)))
+    assert len(batch) == 200 and built == []
+
+
+@pytest.mark.parametrize("mode", [{}, {"greedy": True}, {"eps": 0.3}],
+                         ids=["sampled", "greedy", "eps_greedy"])
+@pytest.mark.parametrize("task", TAPE_TASKS)
+def test_row_stepper_and_array_stepper_give_the_same_bits(task, mode):
+    """``rollout(list(latents))`` steps the envs row by row, and
+    ``rollout(latents)`` on arrays; the batches and caches are the same."""
+    latents = draw_latents(task, list(range(6)), [(2, 8)] * 6).repeat(3)
+    pol = policy_for_env(latents[0], hidden_size=8)
+    pol.init_params(np.random.Generator(np.random.PCG64(2)))
+    runs = [pol.rollout(envs, rng=np.random.Generator(np.random.PCG64(3)), collect=True, **mode)
+            for envs in (list(latents), latents)]
+    (rows, rows_cache), (arrays, arrays_cache) = runs
+    assert len(set(rows.lengths.tolist())) > 1
+    assert_same_batches(rows, arrays)
+    assert_same_caches(rows_cache, arrays_cache)
 
 
 def assert_same_batches(a, b):

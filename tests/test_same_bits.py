@@ -30,3 +30,18 @@ def test_mismatches_name_differing_and_one_sided_digests():
     assert same_bits.mismatches(parent, dict(parent)) == []
     lines = same_bits.table(parent, change).splitlines()
     assert [line.split()[-1] for line in lines] == ["same", "yes", "NO", "NO", "NO"]
+
+
+def test_probe_digests_every_episode_a_sweep_decodes():
+    from urex.envs import TaskId
+    from urex.harness import generalization_sweep
+
+    digests = []
+    for seed in (0, 0, 1):
+        probe = same_bits.Probe()
+        record = generalization_sweep(probe, TaskId.REVERSE, lengths=(3, 5),
+                                      episodes_per_length=2, seed=seed)
+        assert record.rows == [(3, 2), (5, 2)] and len(probe.episodes) == 4
+        assert [len(episode.actions) for episode in probe.episodes] == [6, 6, 10, 10]
+        digests.append(probe.digest())
+    assert digests[0] == digests[1] != digests[2]

@@ -2,14 +2,20 @@
 
     python3 tools/same_bits.py --parent ../parent --change .
 
-Everything runs at ``OPENBLAS_NUM_THREADS=1``.  Two kinds of output are
-compared:
+Everything runs at ``OPENBLAS_NUM_THREADS=1``.  Three kinds of output
+are compared:
 
 - the digest of ``benchmarks/run.py --workload W --seed S --seconds 1
   --trace 0`` for W in desk, full, qlearn, bandit and S in 0, 1, 2;
 - fixed desk ``run_trial`` runs (``TRIALS``, seeds 0-2), each reduced
   to sha256 digests of its metrics JSONL rows without ``wall_ms``, its
-  eval history, its ``record()`` and its final parameters.
+  eval history, its ``record()`` and its final parameters;
+- length-generalization sweeps, as digests of their CSV records and of
+  every episode decoded in them: the oracle's on every tape task as
+  ``urex generalize --checkpoint oracle --max-len 100 --episodes 5``
+  runs it, and one sweep per length of ``SWEPT_LENGTHS`` on the trained
+  policy of the trial ``SWEPT_TRIAL`` (a sweep stops at its first
+  imperfect length, so one sweep of both would probe only the first).
 
 The trials run in a child process per checkout that imports ``urex``
 from that checkout's ``src/``.  Exits 1 if any digest differs or is
@@ -35,6 +41,8 @@ TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120),
           ("Copy", "qlearn", 0.0, 0.01, 10.0, 300),
           ("BinarySearch", "urex", 0.1, 0.1, 1.0, 20)]
 TRIAL_SEEDS = (0, 1, 2)
+SWEPT_TRIAL, SWEPT_LENGTHS = "Copy/urex/120/seed0", (30, 100)
+ORACLE_SWEEP_LENGTHS, ORACLE_SWEEP_EPISODES = (30, 100), 5
 
 
 def sha(text: str) -> str:
@@ -71,13 +79,34 @@ def table(parent: dict, change: dict) -> str:
     return "\n".join(lines)
 
 
+class Probe:
+    """Stands in for a sweep's policy: decodes with ``policy``, or with
+    the scripted oracle when it is None, and keeps every episode."""
+
+    def __init__(self, policy=None):
+        self.policy, self.episodes = policy, []
+
+    def rollout(self, envs, greedy):
+        from urex.envs import oracle_rollout
+
+        if self.policy is None:
+            episodes = [oracle_rollout(env) for env in envs]
+        else:
+            episodes, _ = self.policy.rollout(envs, greedy=greedy)
+        self.episodes += list(episodes)
+        return episodes, None
+
+    def digest(self) -> str:
+        return sha(repr(self.episodes))
+
+
 def trial_digests() -> dict:
     """Digests of the fixed trials, run with the ``urex`` on ``sys.path``."""
     import math
 
     import urex
-    from urex.envs import TaskId
-    from urex.harness import make_spec, run_trial
+    from urex.envs import TAPE_TASKS, TaskId
+    from urex.harness import generalization_sweep, make_spec, run_trial
 
     if not Path(urex.__file__).resolve().is_relative_to(Path.cwd().resolve()):
         raise SystemExit(f"imported urex from {urex.__file__}, not from {Path.cwd()}")
@@ -96,6 +125,19 @@ def trial_digests() -> dict:
                 digests[f"{name} eval"] = sha(json.dumps(result.eval_history))
                 digests[f"{name} record"] = sha(json.dumps(result.record()))
                 digests[f"{name} params"] = hashlib.sha256(params.tobytes()).hexdigest()
+                if name == SWEPT_TRIAL:
+                    for length in SWEPT_LENGTHS:
+                        probe = Probe(result.policy)
+                        record = generalization_sweep(probe, TaskId.parse(task), lengths=(length,))
+                        digests[f"{name} sweep {length}"] = sha(record.to_csv())
+                        digests[f"{name} sweep {length} episodes"] = probe.digest()
+    sweep = dict(lengths=ORACLE_SWEEP_LENGTHS, episodes_per_length=ORACLE_SWEEP_EPISODES)
+    for task in TAPE_TASKS:
+        record = generalization_sweep("oracle", task, **sweep)
+        digests[f"{task.value}/oracle sweep"] = sha(record.to_csv())
+        probe = Probe()  # the same sweep, keeping the oracle's episodes
+        generalization_sweep(probe, task, **sweep)
+        digests[f"{task.value}/oracle sweep episodes"] = probe.digest()
     return digests
 
 
