@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from ..types import Trajectory
 from .base import Env, EpisodeError
-from .search import BinarySearchEnv, action_index, oracle_search_rollout
+from .search import (BinarySearchEnv, action_index, scripted_binary_search,
+                     scripted_linear_search)
 from .tape import (MOVE_LEFT, MOVE_RIGHT, CopyEnv, DuplicatedInputEnv,
                    RepeatCopyEnv, ReverseEnv, ReversedAdditionEnv, TapeAction,
                    TapeEnv)
@@ -19,7 +20,10 @@ def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:
     """
     obs0 = env.restart()
     if isinstance(env, BinarySearchEnv):
-        actions, rewards, observations = oracle_search_rollout(env, strategy)
+        searches = {"linear": scripted_linear_search, "binary": scripted_binary_search}
+        if strategy not in searches:
+            raise EpisodeError(f"unknown search strategy {strategy!r}")
+        actions, rewards, observations = searches[strategy](env)
         actions = [(action_index(a),) for a in actions]  # store head-index tuples
     elif isinstance(env, TapeEnv):
         actions = _tape_oracle_actions(env)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .base import FOUND_QUERY, STEP_LIMIT, Env, EpisodeError, StepResult
+from .base import FOUND_QUERY, STEP_LIMIT, Env, StepResult
 
 OP_INC, OP_DIV, OP_AVG, OP_CMP = 0, 1, 2, 3
 _OP_NAMES = ("INC", "DIV", "AVG", "CMP")
@@ -192,11 +192,3 @@ def scripted_binary_search(env: BinarySearchEnv):
         else:  # CMP_GT
             lo_reg, probe_reg = probe_reg, lo_reg
             lo_val = probe_val
-
-
-def oracle_search_rollout(env: BinarySearchEnv, strategy: str = "binary"):
-    if strategy == "linear":
-        return scripted_linear_search(env)
-    if strategy == "binary":
-        return scripted_binary_search(env)
-    raise EpisodeError(f"unknown search strategy {strategy!r}")

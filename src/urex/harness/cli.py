@@ -6,15 +6,13 @@ import argparse
 import json
 import os
 
-import numpy as np
-
 from ..envs import TaskId, make_env
 from ..policy import load_policy, save_policy
 from .bandit_exp import BanditExperimentConfig, run_bandit_experiment
 from .config import load_config, merge_overrides
 from .generalize import PROBE_LENGTHS, generalization_sweep
 from .grid import run_grid
-from .profiles import MENT_TAUS, UREX_TAUS, make_spec
+from .profiles import make_spec
 from .trace import render_trace
 from .trial import run_trial
 
@@ -42,8 +40,7 @@ def cmd_run(args):
     os.makedirs(args.out, exist_ok=True)
     stem = spec.stem()
     result = run_trial(spec, metrics_path=os.path.join(args.out, f"{stem}.jsonl"))
-    if result.policy is not None and hasattr(result.policy, "params"):
-        save_policy(os.path.join(args.out, f"{stem}.ckpt"), result.policy)
+    save_policy(os.path.join(args.out, f"{stem}.ckpt"), result.policy)
     print(json.dumps(result.record(), indent=2))
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
-from ..envs import SUCCESS_THRESHOLDS, TAPE_TASKS, TaskId
+from ..envs import SUCCESS_THRESHOLDS, TaskId
 
 # stochastic-gradient step budgets per task (full profile)
 FULL_MAX_STEPS = {

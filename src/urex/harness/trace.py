@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..envs import TaskId, oracle_rollout
+from ..envs import oracle_rollout
 from ..envs.search import BinarySearchEnv
 from ..envs.tape import ReversedAdditionEnv, TapeEnv
 from ..policy.recurrent import RecurrentPolicy

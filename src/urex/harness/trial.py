@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..curriculum import CurriculumState
+from ..curriculum import LENGTH_FLOOR, CurriculumState
 from ..envs import TAPE_TASKS, TaskId, draw_latents, make_env
 from ..policy import PolicyDivergence, policy_for_env
 from ..trainers import DoubleQLearner, PolicyGradientTrainer, QConfig, TrainConfig
@@ -29,7 +29,7 @@ class TrialResult:
     weight_variance_curve: list = field(default_factory=list)
     eval_history: list = field(default_factory=list)  # (step, mean_reward, accuracy)
     failure_cause: str | None = None
-    policy: object = None  # trained policy (or Q-learner); not serialized
+    policy: object = None  # trained policy (Q-learning's online net); not serialized
 
     def record(self) -> dict:
         row = {
@@ -43,34 +43,40 @@ class TrialResult:
         return row
 
 
-class _TapeFactory:
-    """Tape-task envs for a spec: ``factory(seed, length)`` makes one
-    unreset env, ``factory.latents(seeds, lengths)`` draws a batch of
-    reset ones into arrays.  A length of None means the spec's range."""
+class _TaskFactory:
+    """Where a spec's episodes come from.  ``factory(seed, length)`` makes
+    one unreset env, ``factory.latents(seeds, lengths)`` a batch of reset
+    ones (tape tasks drawn into arrays) and ``draw_length(rng)`` an input
+    length in the spec's range; a length of None means that range.  The
+    search task has no input length: it ignores lengths and draws none."""
 
     def __init__(self, task, length_cap):
+        self.tape = task in TAPE_TASKS  # episodes have an input length
+        if not self.tape and task is not TaskId.BINARY_SEARCH:
+            raise ValueError(f"run_trial does not handle task {task}; "
+                             "use run_bandit_experiment for the bandit")
         self.task, self.length_cap = task, length_cap
 
     def _range(self, length):
-        return (length, length) if length else (2, self.length_cap)
+        return (length, length) if length else (LENGTH_FLOOR, self.length_cap)
 
     def __call__(self, seed, length):
-        return make_env(self.task, seed, self._range(length))
+        return make_env(self.task, seed, self._range(length) if self.tape else None)
 
     def latents(self, seeds, lengths):
-        return draw_latents(self.task, seeds, [self._range(length) for length in lengths])
+        if self.tape:
+            return draw_latents(self.task, seeds, [self._range(length) for length in lengths])
+        envs = [self(seed, length) for seed, length in zip(seeds, lengths)]
+        for env in envs:
+            env.reset()
+        return envs
+
+    def draw_length(self, rng):
+        return int(rng.integers(LENGTH_FLOOR, self.length_cap + 1)) if self.tape else None
 
 
-def env_factory_for(spec: TrialSpec):
-    task = spec.task
-    if task in TAPE_TASKS:
-        return _TapeFactory(task, spec.length_cap)
-    if task is TaskId.BINARY_SEARCH:
-        def factory(seed, length=None):
-            return make_env(task, seed)
-        return factory
-    raise ValueError(f"run_trial does not handle task {task}; "
-                     "use run_bandit_experiment for the bandit")
+def env_factory_for(spec: TrialSpec) -> _TaskFactory:
+    return _TaskFactory(spec.task, spec.length_cap)
 
 
 def evaluate_greedy(policy, spec: TrialSpec, eval_rng):
@@ -80,17 +86,8 @@ def evaluate_greedy(policy, spec: TrialSpec, eval_rng):
     seeds, lengths = [], []
     for _ in range(spec.eval_episodes):
         seeds.append(int(eval_rng.integers(0, 2**63)))
-        lengths.append(int(eval_rng.integers(2, spec.length_cap + 1))
-                       if spec.task in TAPE_TASKS else None)
-    if spec.task in TAPE_TASKS:
-        envs = factory.latents(seeds, lengths)
-    else:
-        envs = [factory(seed, length) for seed, length in zip(seeds, lengths)]
-        for env in envs:
-            env.reset()
-    if isinstance(policy, DoubleQLearner):
-        policy = policy.online
-    batch, _ = policy.rollout(envs, greedy=True)
+        lengths.append(factory.draw_length(eval_rng))
+    batch, _ = policy.rollout(factory.latents(seeds, lengths), greedy=True)
     perfect = batch.totals >= batch.max_rewards
     return float(batch.totals.mean()), float(perfect.mean())
 
@@ -102,9 +99,7 @@ def is_success(spec: TrialSpec, mean_reward: float, accuracy: float) -> bool:
 
 
 def _policy_gradient_learner(spec: TrialSpec, factory, probe):
-    curriculum = None
-    if spec.task in TAPE_TASKS:
-        curriculum = CurriculumState(length_cap=spec.length_cap)
+    curriculum = CurriculumState(length_cap=spec.length_cap) if factory.tape else None
     policy = policy_for_env(probe, spec.hidden_size)
     policy.init_params(np.random.Generator(np.random.PCG64(spec.restart_seed)))
     config = TrainConfig(method=spec.method, tau=spec.tau, learning_rate=spec.eta,
@@ -126,13 +121,11 @@ def _q_learner(spec: TrialSpec, factory, probe):
     length_rng = np.random.Generator(np.random.PCG64(spec.restart_seed + 1))
 
     def step():
-        length = None
-        if spec.task in TAPE_TASKS:
-            length = int(length_rng.integers(2, spec.length_cap + 1))
+        length = factory.draw_length(length_rng)
         row = learner.train_step(factory(int(env_seed_rng.integers(0, 2**63)), length))
         return row["episode_reward"], row
 
-    return learner, step
+    return learner.online, step
 
 
 @blas_threads(1)
@@ -140,16 +133,17 @@ def run_trial(spec: TrialSpec, metrics_path=None) -> TrialResult:
     """Train per ``spec`` until the step budget or first successful
     evaluation; deterministic given the spec.
 
-    The method supplies a learner and a step callable returning (training
-    reward, metrics row); the loop around them is the same for every method.
+    The method supplies the policy to evaluate and a step callable returning
+    (training reward, metrics row); the loop around them is the same for
+    every method.
     numpy's BLAS is held at one thread for the trial, so its bits do not
     depend on the thread count the caller runs at (see ``urex.harness.blas``).
     """
     factory = env_factory_for(spec)
-    probe = factory(0, 2 if spec.task in TAPE_TASKS else None)
+    probe = factory(0, LENGTH_FLOOR)
     probe.reset()
     make_learner = _q_learner if spec.method == "qlearn" else _policy_gradient_learner
-    learner, train_step = make_learner(spec, factory, probe)
+    policy, train_step = make_learner(spec, factory, probe)
     eval_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([spec.restart_seed, _EVAL_STREAM])))
     result = TrialResult(spec_key=spec.key(), success=False, success_step=None,
@@ -169,7 +163,7 @@ def run_trial(spec: TrialSpec, metrics_path=None) -> TrialResult:
             if sink:
                 sink.write(json.dumps(row) + "\n")
             if step % spec.eval_every == 0 or step == spec.max_steps:
-                mean_reward, accuracy = evaluate_greedy(learner, spec, eval_rng)
+                mean_reward, accuracy = evaluate_greedy(policy, spec, eval_rng)
                 result.eval_history.append((step, mean_reward, accuracy))
                 if is_success(spec, mean_reward, accuracy):
                     result.success = True
@@ -180,5 +174,5 @@ def run_trial(spec: TrialSpec, metrics_path=None) -> TrialResult:
             sink.close()
     tail = result.reward_curve[-FINAL_REWARD_BATCHES:]
     result.final_expected_reward = float(np.mean(tail)) if tail else float("nan")
-    result.policy = learner
+    result.policy = policy
     return result

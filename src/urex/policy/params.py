@@ -35,11 +35,10 @@ class ParamVector:
         sl, shape = self.segments[name]
         return self.flat[sl].reshape(shape)
 
-    def nonfinite_segments(self, values: np.ndarray | None = None) -> list[str]:
-        values = self.flat if values is None else values
+    def nonfinite_segments(self) -> list[str]:
         bad = []
         for name, (sl, _) in self.segments.items():
-            if not np.all(np.isfinite(values[sl])):
+            if not np.all(np.isfinite(self.flat[sl])):
                 bad.append(name)
         return bad
 

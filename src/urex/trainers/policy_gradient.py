@@ -101,11 +101,11 @@ def update(policy, optim: AdamState, envs, config: TrainConfig, rng):
 class PolicyGradientTrainer:
     """Owns the optimizer state and RNG streams for one training run.
 
-    ``env_factory(seed, length)`` must return an unreset environment;
-    ``length`` is None when no curriculum is attached.  A factory that
-    also has ``latents(seeds, lengths)`` gives the batch's reset envs in
-    one call (``urex.envs.draw_latents`` for the tape tasks, whose batch
-    then steps on arrays); without it, tape tasks step row by row.
+    ``env_factory.latents(seeds, lengths)`` must return the batch's reset
+    environments, one per seed; ``lengths`` are the curriculum's draws, or
+    None each when no curriculum is attached.
+    ``urex.harness.trial.env_factory_for`` gives a spec's factory, whose
+    tape-task batches step on arrays.
     """
 
     def __init__(self, policy, env_factory, config: TrainConfig, curriculum=None):
@@ -129,13 +129,7 @@ class PolicyGradientTrainer:
         lengths = [None] * cfg.n
         if self.curriculum is not None:
             lengths = [self.curriculum.sample_length(self.length_rng) for _ in range(cfg.n)]
-        draw = getattr(self.env_factory, "latents", None)
-        if draw is not None:
-            envs = draw(seeds, lengths)
-        else:
-            envs = [self.env_factory(seed, length) for seed, length in zip(seeds, lengths)]
-            for env in envs:
-                env.reset()
+        envs = self.env_factory.latents(seeds, lengths)
         batch, coeffs, wvar, norm_pre, norm_post = update(
             self.policy, self.optim, envs, cfg, self.sample_rng)
         if self.curriculum is not None:

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from urex.curriculum import CurriculumState
-from urex.envs.base import COMPLETED, Env, StepResult
+from urex.envs.base import COMPLETED, Env, RowStepper, StepResult
 from urex.envs.bandit import BanditEnv
-from urex.envs import TaskId
+from urex.envs import TaskId, make_env
 from urex.harness import make_spec
 from urex.harness.trial import env_factory_for
-from urex.policy import LinearBanditPolicy, policy_for_env
+from urex.policy import LinearBanditPolicy
 from urex.trainers import (AdamState, DoubleQLearner, PolicyGradientTrainer,
                            QConfig, TrainConfig, update)
 from urex.types import Trajectory
@@ -44,6 +44,19 @@ class ChainEnv(Env):
             return StepResult(1, 0.0, False, None)
         self.done = True
         return StepResult(1, 2.0 if a == 0 else 0.0, True, COMPLETED)
+
+
+class FixedBandit:
+    """A trainer's env factory that gives every episode one fixed bandit."""
+
+    def __init__(self, payoffs):
+        self.payoffs = payoffs
+
+    def latents(self, seeds, lengths):
+        envs = [BanditEnv(0, payoffs=self.payoffs) for _ in seeds]
+        for env in envs:
+            env.reset()
+        return envs
 
 
 def two_arm_env():
@@ -81,7 +94,7 @@ def test_metrics_schema_every_step():
                       k=4, n=2, seed=3)
     pol = LinearBanditPolicy(3)
     pol.init_params(np.random.Generator(np.random.PCG64(0)), scale=0.1)
-    trainer = PolicyGradientTrainer(pol, lambda seed, length: BanditEnv(0, payoffs=[0.8, 0.2, 0.1]), cfg)
+    trainer = PolicyGradientTrainer(pol, FixedBandit([0.8, 0.2, 0.1]), cfg)
     required = {"step", "method", "tau", "eta", "clip", "mean_reward", "coef_mean",
                 "coef_std", "grad_norm_pre", "grad_norm_post", "wall_ms",
                 "weight_variance", "max_len"}
@@ -91,7 +104,7 @@ def test_metrics_schema_every_step():
     # entropy-regularized method has no weight variance field
     cfg2 = TrainConfig(method="ment", tau=0.01, learning_rate=0.05, clip_norm=5.0, k=4, n=2)
     pol2 = LinearBanditPolicy(3)
-    trainer2 = PolicyGradientTrainer(pol2, lambda s, l: BanditEnv(0, payoffs=[0.8, 0.2, 0.1]), cfg2)
+    trainer2 = PolicyGradientTrainer(pol2, FixedBandit([0.8, 0.2, 0.1]), cfg2)
     assert "weight_variance" not in trainer2.step().record()
 
 
@@ -101,8 +114,7 @@ def test_trainer_deterministic():
                           k=4, n=2, seed=11)
         pol = LinearBanditPolicy(3)
         pol.init_params(np.random.Generator(np.random.PCG64(1)), scale=0.1)
-        trainer = PolicyGradientTrainer(
-            pol, lambda s, l: BanditEnv(0, payoffs=[0.8, 0.2, 0.1]), cfg)
+        trainer = PolicyGradientTrainer(pol, FixedBandit([0.8, 0.2, 0.1]), cfg)
         for _ in range(10):
             m = trainer.step()
         return pol.params.flat.copy(), m.mean_reward
@@ -118,7 +130,7 @@ def test_one_batch_advances_curriculum_at_most_one_level():
                       k=10, n=4, seed=0)
     pol = LinearBanditPolicy(1)
     cur = CurriculumState(window=10)
-    trainer = PolicyGradientTrainer(pol, lambda s, l: BanditEnv(0, payoffs=[1.0]), cfg, cur)
+    trainer = PolicyGradientTrainer(pol, FixedBandit([1.0]), cfg, cur)
     # all 40 episodes were sampled at level 2: the first ten raise it to 3,
     # and the other thirty, sampled below level 3, do not count
     assert trainer.step().max_len == 3
@@ -214,23 +226,16 @@ def test_q_target_sync_cadence():
         assert synced == (i % 5 == 0)
 
 
-@pytest.mark.parametrize("curriculum", [True, False], ids=["curriculum", "fixed_range"])
-def test_trainer_draws_tape_latents_as_its_per_env_factory_makes_them(curriculum):
-    # the spec's factory draws each batch into arrays; a plain lambda over
-    # it makes and resets every env on its own
-    spec = make_spec(TaskId.DUPLICATED_INPUT, "urex", 0.1, eta=0.1, profile="desk", n=4, k=3,
-                     length_cap=6)
-    factory = env_factory_for(spec)
-    runs = []
-    for env_factory in (factory, lambda seed, length: factory(seed, length)):
-        policy = policy_for_env(factory(0, 2), hidden_size=8)
-        policy.init_params(np.random.Generator(np.random.PCG64(3)))
-        config = TrainConfig(method="urex", tau=0.1, learning_rate=0.1, k=3, n=4, seed=5)
-        trainer = PolicyGradientTrainer(policy, env_factory, config,
-                                        CurriculumState(length_cap=6) if curriculum else None)
-        rows = [{k: v for k, v in trainer.step().record().items() if k != "wall_ms"}
-                for _ in range(6)]
-        runs.append((rows, policy.params.flat.copy()))
-    (rows_a, params_a), (rows_b, params_b) = runs
-    assert rows_a == rows_b
-    assert np.array_equal(params_a, params_b)
+def test_search_factory_makes_and_resets_each_env_and_draws_no_length():
+    factory = env_factory_for(make_spec(TaskId.BINARY_SEARCH, "urex", 0.1, profile="desk"))
+    seeds = [3, 11, 2**62 + 5]
+    envs = factory.latents(seeds, [None] * len(seeds))
+    expected = [make_env(TaskId.BINARY_SEARCH, seed) for seed in seeds]
+    first = [env.reset() for env in expected]
+    assert [(e.n, e.array, e.query_pos) for e in envs] == [
+        (e.n, e.array, e.query_pos) for e in expected]
+    assert RowStepper(envs).first_obs.tolist() == first
+    rng = np.random.Generator(np.random.PCG64(7))
+    state = rng.bit_generator.state
+    assert factory.draw_length(rng) is None
+    assert rng.bit_generator.state == state

@@ -39,7 +39,8 @@ BENCH_RUNS = [(w, s) for w in ("desk", "full", "qlearn", "bandit") for s in (0, 
 TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120),
           ("DuplicatedInput", "ment", 0.01, 0.1, 10.0, 80),
           ("Copy", "qlearn", 0.0, 0.01, 10.0, 300),
-          ("BinarySearch", "urex", 0.1, 0.1, 1.0, 20)]
+          ("BinarySearch", "urex", 0.1, 0.1, 1.0, 20),
+          ("BinarySearch", "qlearn", 0.0, 0.01, 10.0, 60)]
 TRIAL_SEEDS = (0, 1, 2)
 SWEPT_TRIAL, SWEPT_LENGTHS = "Copy/urex/120/seed0", (30, 100)
 ORACLE_SWEEP_LENGTHS, ORACLE_SWEEP_EPISODES = (30, 100), 5
