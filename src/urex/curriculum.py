@@ -53,5 +53,10 @@ class CurriculumState:
         return self
 
     def sample_length(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(LENGTH_FLOOR, self.current_max_length + 1))
+        return draw_length(rng, self.current_max_length)
+
+
+def draw_length(rng: np.random.Generator, cap: int) -> int:
+    """An input length drawn uniformly from LENGTH_FLOOR..cap."""
+    return int(rng.integers(LENGTH_FLOOR, cap + 1))
 

@@ -17,7 +17,6 @@ import numpy as np
 from ..envs.bandit import BanditEnv
 from ..policy.linear import LinearBanditPolicy
 from ..trainers import AdamState, TrainConfig, update
-from .blas import blas_threads
 
 
 @dataclass
@@ -81,11 +80,7 @@ def train_bandit_policy(env: BanditEnv, method: str, tau: float, eta: float,
     return np.array(trace)
 
 
-@blas_threads(1)
 def run_bandit_experiment(cfg: BanditExperimentConfig) -> BanditExperimentResult:
-    """Run every repeat's grid of methods, settings and restarts, then pick
-    each method's best setting.  numpy's BLAS is held at one thread, as in
-    ``run_trial``, so the bits do not depend on the caller's thread count."""
     root = np.random.SeedSequence(cfg.seed)
     repeat_seeds = root.generate_state(cfg.repeats)
     restart_base = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..curriculum import LENGTH_FLOOR, CurriculumState
+from ..curriculum import LENGTH_FLOOR, CurriculumState, draw_length
 from ..envs import TAPE_TASKS, TaskId, draw_latents, make_env
 from ..policy import PolicyDivergence, policy_for_env
 from ..trainers import DoubleQLearner, PolicyGradientTrainer, QConfig, TrainConfig
@@ -32,7 +32,7 @@ class TrialResult:
     policy: object = None  # trained policy (Q-learning's online net); not serialized
 
     def record(self) -> dict:
-        row = {
+        return {
             "key": self.spec_key,
             "success": self.success,
             "success_step": self.success_step,
@@ -40,43 +40,59 @@ class TrialResult:
             "steps_run": self.steps_run,
             "failure_cause": self.failure_cause,
         }
-        return row
 
 
-class _TaskFactory:
-    """Where a spec's episodes come from.  ``factory(seed, length)`` makes
-    one unreset env, ``factory.latents(seeds, lengths)`` a batch of reset
-    ones (tape tasks drawn into arrays) and ``draw_length(rng)`` an input
-    length in the spec's range; a length of None means that range.  The
-    search task has no input length: it ignores lengths and draws none."""
+class _TapeFactory:
+    """A tape task's episodes: ``factory(seed, length)`` makes one unreset
+    env, ``latents(seeds, lengths)`` draws a reset batch into arrays and
+    ``draw_length(rng)`` a length in the spec's range (None means that range)."""
 
     def __init__(self, task, length_cap):
-        self.tape = task in TAPE_TASKS  # episodes have an input length
-        if not self.tape and task is not TaskId.BINARY_SEARCH:
-            raise ValueError(f"run_trial does not handle task {task}; "
-                             "use run_bandit_experiment for the bandit")
         self.task, self.length_cap = task, length_cap
 
     def _range(self, length):
         return (length, length) if length else (LENGTH_FLOOR, self.length_cap)
 
     def __call__(self, seed, length):
-        return make_env(self.task, seed, self._range(length) if self.tape else None)
+        return make_env(self.task, seed, self._range(length))
 
     def latents(self, seeds, lengths):
-        if self.tape:
-            return draw_latents(self.task, seeds, [self._range(length) for length in lengths])
-        envs = [self(seed, length) for seed, length in zip(seeds, lengths)]
+        return draw_latents(self.task, seeds, [self._range(length) for length in lengths])
+
+    def draw_length(self, rng):
+        return draw_length(rng, self.length_cap)
+
+    def curriculum(self):
+        return CurriculumState(length_cap=self.length_cap)
+
+
+class _SearchFactory:
+    """BinarySearch's episodes through the same calls.  The task has no
+    input length: lengths are ignored, none is drawn and none is scheduled."""
+
+    def __call__(self, seed, length):
+        return make_env(TaskId.BINARY_SEARCH, seed)
+
+    def latents(self, seeds, lengths):
+        envs = [self(seed, None) for seed in seeds]
         for env in envs:
             env.reset()
         return envs
 
     def draw_length(self, rng):
-        return int(rng.integers(LENGTH_FLOOR, self.length_cap + 1)) if self.tape else None
+        return None
+
+    def curriculum(self):
+        return None
 
 
-def env_factory_for(spec: TrialSpec) -> _TaskFactory:
-    return _TaskFactory(spec.task, spec.length_cap)
+def env_factory_for(spec: TrialSpec):
+    if spec.task in TAPE_TASKS:
+        return _TapeFactory(spec.task, spec.length_cap)
+    if spec.task is TaskId.BINARY_SEARCH:
+        return _SearchFactory()
+    raise ValueError(f"run_trial does not handle task {spec.task}; "
+                     "use run_bandit_experiment for the bandit")
 
 
 def evaluate_greedy(policy, spec: TrialSpec, eval_rng):
@@ -99,12 +115,11 @@ def is_success(spec: TrialSpec, mean_reward: float, accuracy: float) -> bool:
 
 
 def _policy_gradient_learner(spec: TrialSpec, factory, probe):
-    curriculum = CurriculumState(length_cap=spec.length_cap) if factory.tape else None
     policy = policy_for_env(probe, spec.hidden_size)
     policy.init_params(np.random.Generator(np.random.PCG64(spec.restart_seed)))
     config = TrainConfig(method=spec.method, tau=spec.tau, learning_rate=spec.eta,
                          clip_norm=spec.clip, k=spec.k, n=spec.n, seed=spec.restart_seed)
-    trainer = PolicyGradientTrainer(policy, factory, config, curriculum)
+    trainer = PolicyGradientTrainer(policy, factory, config, factory.curriculum())
 
     def step():
         row = trainer.step().record()

@@ -20,24 +20,16 @@ def finite_diff_check(policy, trajectories, coefficients, env=None) -> float:
     if policy.params.size > MAX_CHECK_PARAMS:
         raise ValueError(f"too many parameters to perturb ({policy.params.size})")
 
-    def value():
-        if env is not None:
-            return policy.weighted_logprob(trajectories, coefficients, env)
-        return policy.weighted_logprob(trajectories, coefficients)
-
-    if env is not None:
-        analytic = policy.weighted_grad(trajectories, coefficients, env)
-    else:
-        analytic = policy.weighted_grad(trajectories, coefficients)
-
+    features = () if env is None else (env,)
+    analytic = policy.weighted_grad(trajectories, coefficients, *features)
     flat = policy.params.flat
     fd = np.zeros_like(flat)
     for idx in range(flat.size):
         orig = flat[idx]
         flat[idx] = orig + EPSILON
-        up = value()
+        up = policy.weighted_logprob(trajectories, coefficients, *features)
         flat[idx] = orig - EPSILON
-        down = value()
+        down = policy.weighted_logprob(trajectories, coefficients, *features)
         flat[idx] = orig
         fd[idx] = (up - down) / (2.0 * EPSILON)
 

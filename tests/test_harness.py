@@ -13,7 +13,7 @@ from urex.envs import TaskId, make_env
 from urex.harness import (GridResult, TrialSpec, evaluate_greedy,
                           generalization_sweep, make_spec, render_trace,
                           run_grid, run_trial)
-from urex.harness import bandit_exp, blas, grid
+from urex.harness import blas, grid
 from urex.harness.config import load_config, merge_overrides, parse_value
 from urex.harness.trace import collect_actions
 
@@ -79,27 +79,6 @@ def test_blas_threads_restores_count_and_warns_without_control(monkeypatch):
         with blas.blas_threads(1):
             ran.append(True)
     assert ran == [True]
-
-
-def test_bandit_experiment_holds_one_blas_thread(monkeypatch):
-    control = blas._thread_control()
-    if control is None:
-        pytest.skip("numpy's BLAS has no thread control")
-    get, _ = control
-    seen = []
-    train = bandit_exp.train_bandit_policy
-
-    def spy(*args, **kwargs):
-        seen.append(get())
-        return train(*args, **kwargs)
-
-    monkeypatch.setattr(bandit_exp, "train_bandit_policy", spy)
-    cfg = bandit_exp.BanditExperimentConfig(num_actions=20, dim=4, repeats=1, restarts=1,
-                                            steps=3)
-    with blas.blas_threads(2):
-        bandit_exp.run_bandit_experiment(cfg)
-        assert get() == 2
-    assert seen and set(seen) == {1}
 
 
 def test_run_trial_final_reward_window():

@@ -4,7 +4,7 @@ and the double Q-learning baseline."""
 import numpy as np
 import pytest
 
-from urex.curriculum import CurriculumState
+from urex.curriculum import LENGTH_FLOOR, CurriculumState
 from urex.envs.base import COMPLETED, Env, RowStepper, StepResult
 from urex.envs.bandit import BanditEnv
 from urex.envs import TaskId, make_env
@@ -239,3 +239,15 @@ def test_search_factory_makes_and_resets_each_env_and_draws_no_length():
     state = rng.bit_generator.state
     assert factory.draw_length(rng) is None
     assert rng.bit_generator.state == state
+    assert factory.curriculum() is None
+
+
+def test_tape_factory_draws_lengths_by_the_curriculums_rule():
+    factory = env_factory_for(make_spec(TaskId.COPY, "urex", 0.1, profile="desk"))
+    curriculum = factory.curriculum()
+    assert curriculum.length_cap == 10 and curriculum.current_max_length == LENGTH_FLOOR
+    curriculum.current_max_length = curriculum.length_cap
+    a, b = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
+    drawn = [factory.draw_length(a) for _ in range(200)]
+    assert drawn == [curriculum.sample_length(b) for _ in range(200)]
+    assert set(drawn) == set(range(LENGTH_FLOOR, 11))
