@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LENGTH_FLOOR = 2
-LENGTH_CAP = 33
+from .envs import TRAIN_LENGTH_RANGE
+
+LENGTH_FLOOR, LENGTH_CAP = TRAIN_LENGTH_RANGE
 
 
 @dataclass

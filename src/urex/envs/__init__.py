@@ -11,8 +11,7 @@ import enum
 
 from .bandit import BanditEnv, bandit_payoffs
 from .base import (COMPLETED, FOUND_QUERY, STEP_LIMIT, WRONG_EMISSION, Env,
-                   EpisodeError, RowStepper, StepResult, replay_trace,
-                   trace_line)
+                   EpisodeError, RowStepper, StepResult, play, replay_trace)
 from .oracles import oracle_rollout
 from .search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, BinarySearchEnv,
                      SearchAction, action_from_index, action_index,

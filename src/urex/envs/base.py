@@ -124,19 +124,19 @@ class RowStepper:
                 np.array(done, dtype=bool), np.array(cause, dtype=object))
 
 
-def trace_line(t: int, obs: str, action: str, reward: float, done: bool) -> str:
-    """One line of the plain-text episode dump: ``t, obs, action, reward, done``."""
-    return f"{t}, {obs}, {action}, {reward:g}, {int(done)}"
+def play(env: Env, actions):
+    """Restart ``env`` and step it through ``actions`` until the episode
+    ends, yielding (observation before the step, action, StepResult)."""
+    obs = env.restart()
+    for action in actions:
+        res = env.step(action)
+        yield obs, action, res
+        if res.done:
+            return
+        obs = res.obs
 
 
 def replay_trace(env: Env, actions) -> list[str]:
-    """Restart ``env``, replay ``actions`` and return the per-step dump lines."""
-    obs = env.restart()
-    lines = []
-    for t, action in enumerate(actions, start=1):
-        res = env.step(action)
-        lines.append(trace_line(t, env.obs_str(obs), env.action_str(action), res.reward, res.done))
-        obs = res.obs
-        if res.done:
-            break
-    return lines
+    """Restart ``env`` and replay ``actions``: one ``t, obs, action, reward, done`` line a step."""
+    return [f"{t}, {env.obs_str(obs)}, {env.action_str(action)}, {res.reward:g}, {int(res.done)}"
+            for t, (obs, action, res) in enumerate(play(env, actions), start=1)]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..types import Trajectory
-from .base import Env, EpisodeError
+from .base import Env, EpisodeError, play
 from .search import (BinarySearchEnv, action_index, scripted_binary_search,
                      scripted_linear_search)
 from .tape import (MOVE_LEFT, MOVE_RIGHT, CopyEnv, DuplicatedInputEnv,
@@ -18,16 +18,20 @@ def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:
     task runs the scripted linear or binary search.  The returned
     trajectory has ``log_prob`` 0 since no policy was involved.
     """
-    obs0 = env.restart()
     if isinstance(env, BinarySearchEnv):
         searches = {"linear": scripted_linear_search, "binary": scripted_binary_search}
         if strategy not in searches:
             raise EpisodeError(f"unknown search strategy {strategy!r}")
+        env.restart()
         actions, rewards, observations = searches[strategy](env)
         actions = [(action_index(a),) for a in actions]  # store head-index tuples
     elif isinstance(env, TapeEnv):
         actions = _tape_oracle_actions(env)
-        rewards, observations = _apply(env, obs0, actions)
+        steps = list(play(env, actions))
+        if len(steps) != len(actions):
+            raise EpisodeError("oracle script ended before its action list")
+        observations = [obs for obs, _, _ in steps]
+        rewards = [res.reward for _, _, res in steps]
     else:
         raise EpisodeError(f"no oracle for task {type(env).__name__}")
     return Trajectory(
@@ -40,22 +44,6 @@ def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:
         max_total_reward=env.max_total_reward(),
         cause=None,
     )
-
-
-def _apply(env: Env, obs0: int, actions) -> tuple[list[float], list[int]]:
-    rewards = []
-    observations = []
-    obs = obs0
-    for action in actions:
-        observations.append(obs)
-        res = env.step(action)
-        rewards.append(res.reward)
-        obs = res.obs
-        if res.done:
-            break
-    if len(rewards) != len(actions):
-        raise EpisodeError("oracle script ended before its action list")
-    return rewards, observations
 
 
 def _tape_oracle_actions(env) -> list[TapeAction]:

@@ -41,7 +41,7 @@ class BinarySearchEnv(Env):
     num_observations = 4
     action_heads = (("op_reg", 12),)
 
-    def __init__(self, seed: int, n_range: tuple[int, int] = (32, 512)):
+    def __init__(self, seed: int, n_range: tuple[int, int]):
         super().__init__(seed)
         lo, hi = int(n_range[0]), int(n_range[1])
         if lo < 1 or hi < lo:
@@ -50,25 +50,25 @@ class BinarySearchEnv(Env):
 
     def _draw_latent(self, stream):
         lo, hi = self.n_range
-        self.n = int(stream.integers(lo, hi + 1))
+        n = int(stream.integers(lo, hi + 1))
         # ascending distinct values via positive increments
-        increments = stream.integers(1, 10, size=self.n)
+        increments = stream.integers(1, 10, size=n)
         offset = int(stream.integers(0, 10))
         values = increments.cumsum() + offset
-        self.array = tuple(values.tolist())
-        self.query_pos = int(stream.integers(0, self.n))
-        self.query = self.array[self.query_pos]
-        self.step_limit = 2 * self.n + 1
+        self._install(tuple(values.tolist()), int(stream.integers(0, n)))
 
     def set_latent(self, n: int, query_pos: int) -> int:
         """Install a fixed latent state (for replay and trace tests)."""
-        self.n = int(n)
-        self.array = tuple(range(self.n))
-        self.query_pos = int(query_pos)
-        self.query = self.array[self.query_pos]
-        self.step_limit = 2 * self.n + 1
+        self._install(tuple(range(int(n))), query_pos)
         self._has_latent = True
         return self.restart()
+
+    def _install(self, array: tuple, query_pos: int) -> None:
+        self.n = len(array)
+        self.array = array
+        self.query_pos = int(query_pos)
+        self.query = array[self.query_pos]
+        self.step_limit = 2 * self.n + 1
 
     def _begin(self) -> int:
         self.registers = [self.n, 0, 0]

@@ -11,6 +11,7 @@ those settings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,17 +29,24 @@ class BanditExperimentConfig:
     restarts: int = 5
     steps: int = 400
     k: int = 10
-    etas: tuple = (0.1, 0.01)
-    ment_taus: tuple = (0.0, 0.01)
-    urex_taus: tuple = (0.1,)
-    clip: float = 10.0
-    init_scale: float = 0.1
-    record_every: int = 10
     seed: int = 0
+    # the protocol's fixed grid and training settings
+    etas: ClassVar[tuple] = (0.1, 0.01)
+    ment_taus: ClassVar[tuple] = (0.0, 0.01)
+    urex_taus: ClassVar[tuple] = (0.1,)
+    clip: ClassVar[float] = 10.0
+    init_scale: ClassVar[float] = 0.1
+    record_every: ClassVar[int] = 10
 
     def grid(self, method: str):
         taus = self.urex_taus if method == "urex" else self.ment_taus
         return [(eta, tau) for eta in self.etas for tau in taus]
+
+    def record_steps(self) -> list:
+        """The steps after which a run records its expected reward: every
+        ``record_every``-th and the last."""
+        return [step for step in range(1, self.steps + 1)
+                if step % self.record_every == 0 or step == self.steps]
 
 
 @dataclass
@@ -65,17 +73,18 @@ class BanditExperimentResult:
 def train_bandit_policy(env: BanditEnv, method: str, tau: float, eta: float,
                         cfg: BanditExperimentConfig, restart_seed: int) -> np.ndarray:
     """Train one linear policy on one fixed instance; returns the expected
-    reward trace sampled every ``record_every`` steps."""
+    reward after each of ``cfg.record_steps()``."""
     rng = np.random.Generator(np.random.PCG64(restart_seed))
     policy = LinearBanditPolicy(cfg.dim)
     policy.init_params(rng, scale=cfg.init_scale)
     optim = AdamState.like(policy.params.flat)
     train_cfg = TrainConfig(method=method, tau=tau, learning_rate=eta,
                             clip_norm=cfg.clip, k=cfg.k, n=1)
+    recorded = set(cfg.record_steps())
     trace = []
     for step in range(1, cfg.steps + 1):
         update(policy, optim, [env], train_cfg, rng)
-        if step % cfg.record_every == 0 or step == cfg.steps:
+        if step in recorded:
             trace.append(policy.expected_reward(env))
     return np.array(trace)
 
@@ -84,35 +93,25 @@ def run_bandit_experiment(cfg: BanditExperimentConfig) -> BanditExperimentResult
     root = np.random.SeedSequence(cfg.seed)
     repeat_seeds = root.generate_state(cfg.repeats)
     restart_base = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
-
-    # traces[method][(eta, tau)][repeat][restart] -> expected-reward trace
-    traces = {m: {g: [] for g in cfg.grid(m)} for m in ("ment", "urex")}
-    for rep in range(cfg.repeats):
-        env = BanditEnv(int(repeat_seeds[rep]), num_actions=cfg.num_actions,
-                        beta=cfg.beta, dim=cfg.dim)
+    envs = [BanditEnv(int(seed), num_actions=cfg.num_actions, beta=cfg.beta, dim=cfg.dim)
+            for seed in repeat_seeds]
+    for env in envs:
         env.reset()
-        for method in ("ment", "urex"):
-            for eta, tau in cfg.grid(method):
-                runs = []
-                for restart in range(cfg.restarts):
-                    seed = restart_base + rep * 1000 + restart
-                    runs.append(train_bandit_policy(env, method, tau, eta, cfg, seed))
-                traces[method][(eta, tau)].append(np.stack(runs))
 
-    result = BanditExperimentResult(config=cfg)
-    steps = [s for s in range(cfg.record_every, cfg.steps + 1, cfg.record_every)]
-    if not steps or steps[-1] != cfg.steps:
-        steps.append(cfg.steps)
-    result.record_steps = steps
+    def runs(method, eta, tau) -> np.ndarray:
+        """One setting's reward traces, (repeats, restarts, records); each run has its own seed."""
+        return np.array([[train_bandit_policy(env, method, tau, eta, cfg,
+                                              restart_base + rep * 1000 + restart)
+                          for restart in range(cfg.restarts)]
+                         for rep, env in enumerate(envs)])
+
+    result = BanditExperimentResult(config=cfg, record_steps=cfg.record_steps())
     for method in ("ment", "urex"):
-        best, best_final = None, -np.inf
-        for setting, per_repeat in traces[method].items():
-            final = float(np.mean([runs[:, -1].mean() for runs in per_repeat]))
-            if final > best_final:
-                best, best_final = setting, final
+        traces = {setting: runs(method, *setting) for setting in cfg.grid(method)}
+        # the first setting of the grid among those of equal final reward
+        best = max(traces, key=lambda setting: traces[setting][:, :, -1].mean(axis=1).mean())
+        repeat_curves = traces[best].mean(axis=1)
         result.best_settings[method] = best
-        per_repeat = traces[method][best]
-        repeat_curves = np.stack([runs.mean(axis=0) for runs in per_repeat])
         result.curves[method] = (repeat_curves.mean(axis=0), repeat_curves.std(axis=0))
         result.final_rewards[method] = repeat_curves[:, -1]
     return result

@@ -12,7 +12,7 @@ from .bandit_exp import BanditExperimentConfig, run_bandit_experiment
 from .config import load_config, merge_overrides
 from .generalize import PROBE_LENGTHS, generalization_sweep
 from .grid import run_grid
-from .profiles import make_spec
+from .profiles import DEFAULT_PROFILE, PROFILES, make_spec
 from .trace import render_trace
 from .trial import run_trial
 
@@ -22,21 +22,25 @@ def _add_common(p):
     p.add_argument("--out", default="runs", help="output directory")
 
 
-def _gather(args, keys) -> dict:
+def _gather(args) -> dict:
+    """The config file's values, overridden by every flag given."""
     fileconf = load_config(args.config) if args.config else {}
-    flags = {k: getattr(args, k, None) for k in keys}
-    return merge_overrides(fileconf, flags)
+    return merge_overrides(fileconf, vars(args))
+
+
+def _given(conf, **params) -> dict:
+    """Library keywords: ``key=(parameter, type)`` passes ``type(conf[key])``
+    as ``parameter`` if the key was given; else the library's default holds."""
+    return {name: cast(conf[key]) for key, (name, cast) in params.items() if key in conf}
 
 
 def cmd_run(args):
-    conf = _gather(args, ["task", "method", "tau", "eta", "clip", "seed", "steps", "profile"])
-    task = TaskId.parse(conf["task"])
-    overrides = {}
-    if conf.get("steps"):
+    conf = _gather(args)
+    overrides = _given(conf, eta=("eta", float), clip=("clip", float),
+                       seed=("restart_seed", int), profile=("profile", str))
+    if conf.get("steps"):  # a zero budget means the profile's
         overrides["max_steps"] = int(conf["steps"])
-    spec = make_spec(task, conf["method"], float(conf["tau"]), eta=float(conf.get("eta", 0.01)),
-                     clip=float(conf.get("clip", 10.0)), restart_seed=int(conf.get("seed", 0)),
-                     profile=conf.get("profile", "full"), **overrides)
+    spec = make_spec(TaskId.parse(conf["task"]), conf["method"], float(conf["tau"]), **overrides)
     os.makedirs(args.out, exist_ok=True)
     stem = spec.stem()
     result = run_trial(spec, metrics_path=os.path.join(args.out, f"{stem}.jsonl"))
@@ -45,10 +49,10 @@ def cmd_run(args):
 
 
 def cmd_grid(args):
-    conf = _gather(args, ["task", "method", "tau", "profile"])
+    conf = _gather(args)
     task = TaskId.parse(conf["task"])
     os.makedirs(args.out, exist_ok=True)
-    profile = conf.get("profile", "full")
+    profile = conf.get("profile", DEFAULT_PROFILE)
     stem = f"grid_{task.value}_{conf['method']}_tau{conf['tau']}_{profile}"
     result = run_grid(task, conf["method"], float(conf["tau"]), profile=profile,
                       manifest_path=os.path.join(args.out, f"{stem}.jsonl"))
@@ -58,25 +62,24 @@ def cmd_grid(args):
 
 
 def cmd_generalize(args):
-    policy = "oracle" if args.checkpoint == "oracle" else load_policy(args.checkpoint)
-    task = TaskId.parse(args.task)
-    lengths = [l for l in PROBE_LENGTHS if l <= args.max_len]
-    record = generalization_sweep(policy, task, lengths=lengths,
-                                  episodes_per_length=args.episodes, seed=args.seed)
+    conf = _gather(args)
+    policy = "oracle" if conf["checkpoint"] == "oracle" else load_policy(conf["checkpoint"])
+    task = TaskId.parse(conf["task"])
+    record = generalization_sweep(policy, task, **_given(
+        conf, max_len=("lengths", lambda cap: [n for n in PROBE_LENGTHS if n <= cap]),
+        episodes=("episodes_per_length", int), seed=("seed", int)))
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"generalize_{task.value}.csv")
-    with open(path, "w") as fh:
+    with open(os.path.join(args.out, f"generalize_{task.value}.csv"), "w") as fh:
         fh.write(record.to_csv())
     print(record.to_csv())
 
 
 def cmd_bandit(args):
-    conf = _gather(args, ["actions", "dim", "beta", "repeats", "restarts", "steps", "seed"])
-    cfg = BanditExperimentConfig(
-        num_actions=int(conf.get("actions", 1000)), dim=int(conf.get("dim", 30)),
-        beta=float(conf.get("beta", 8.0)), repeats=int(conf.get("repeats", 20)),
-        restarts=int(conf.get("restarts", 5)), steps=int(conf.get("steps", 400)),
-        seed=int(conf.get("seed", 0)))
+    conf = _gather(args)
+    cfg = BanditExperimentConfig(**_given(
+        conf, actions=("num_actions", int), dim=("dim", int), beta=("beta", float),
+        repeats=("repeats", int), restarts=("restarts", int), steps=("steps", int),
+        seed=("seed", int)))
     result = run_bandit_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "bandit_curves.csv"), "w") as fh:
@@ -89,11 +92,11 @@ def cmd_bandit(args):
 
 
 def cmd_trace(args):
-    task = TaskId.parse(args.task)
-    env = make_env(task, args.seed)
+    conf = _gather(args)
+    env = make_env(TaskId.parse(conf["task"]), int(conf.get("seed", 0)))
     env.reset()
-    actor = "oracle" if not args.checkpoint else load_policy(args.checkpoint)
-    print(render_trace(env, actor, strategy=args.strategy))
+    actor = load_policy(conf["checkpoint"]) if conf.get("checkpoint") else "oracle"
+    print(render_trace(env, actor, **_given(conf, strategy=("strategy", str))))
 
 
 def main(argv=None):
@@ -108,7 +111,7 @@ def main(argv=None):
     p.add_argument("--clip", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
-    p.add_argument("--profile", choices=["desk", "full"])
+    p.add_argument("--profile", choices=sorted(PROFILES))
     _add_common(p)
     p.set_defaults(func=cmd_run)
 
@@ -116,16 +119,16 @@ def main(argv=None):
     p.add_argument("--task", required=True)
     p.add_argument("--method", choices=["ment", "urex", "qlearn"], required=True)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--profile", choices=["desk", "full"])
+    p.add_argument("--profile", choices=sorted(PROFILES))
     _add_common(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("generalize", help="length-generalization sweep")
     p.add_argument("--checkpoint", required=True, help="policy checkpoint, or 'oracle'")
     p.add_argument("--task", required=True)
-    p.add_argument("--max-len", type=int, default=2000, dest="max_len")
-    p.add_argument("--episodes", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-len", type=int, dest="max_len")
+    p.add_argument("--episodes", type=int)
+    p.add_argument("--seed", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_generalize)
 
@@ -142,9 +145,9 @@ def main(argv=None):
 
     p = sub.add_parser("trace", help="print one episode trace")
     p.add_argument("--task", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="episode seed (default 0)")
     p.add_argument("--checkpoint")
-    p.add_argument("--strategy", choices=["linear", "binary"], default="binary")
+    p.add_argument("--strategy", choices=["linear", "binary"])
     _add_common(p)
     p.set_defaults(func=cmd_trace)
 

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from ..envs import TaskId
-from .profiles import CLIPS, ETAS, RESTARTS, make_spec
+from .profiles import CLIPS, DEFAULT_PROFILE, ETAS, RESTARTS, make_spec
 from .trial import run_trial
 
 
@@ -79,7 +79,7 @@ def _load_manifest(path):
 
 
 def run_grid(task: TaskId, method: str, tau: float, *, etas=ETAS, clips=CLIPS,
-             restarts: int = RESTARTS, profile: str = "full",
+             restarts: int = RESTARTS, profile: str = DEFAULT_PROFILE,
              manifest_path=None, spec_overrides=None) -> GridResult:
     """Run (or resume) the full eta x clip x restart grid for one method."""
     done = _load_manifest(manifest_path)

@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 
-from ..envs import SUCCESS_THRESHOLDS, TaskId
+from ..envs import SUCCESS_THRESHOLDS, TRAIN_LENGTH_RANGE, TaskId
 
 # stochastic-gradient step budgets per task (full profile)
 FULL_MAX_STEPS = {
@@ -52,11 +52,13 @@ class Profile:
         return max(1, int(FULL_MAX_STEPS[task] * self.step_scale))
 
 
-FULL = Profile(name="full", hidden_size=128, length_cap=33, success_rule="threshold")
+FULL = Profile(name="full", hidden_size=128, length_cap=TRAIN_LENGTH_RANGE[1],
+               success_rule="threshold")
 DESK = Profile(name="desk", hidden_size=32, length_cap=10, success_rule="perfect",
                step_scale=0.5)
 
-PROFILES = {"full": FULL, "desk": DESK}
+PROFILES = {profile.name: profile for profile in (FULL, DESK)}
+DEFAULT_PROFILE = FULL.name
 
 
 @dataclass
@@ -72,13 +74,13 @@ class TrialSpec:
     max_steps: int
     k: int = 10
     n: int = 40
-    hidden_size: int = 128
-    length_cap: int = 33
-    success_rule: str = "threshold"
+    hidden_size: int = FULL.hidden_size
+    length_cap: int = FULL.length_cap
+    success_rule: str = FULL.success_rule
     success_threshold: float | None = None
     eval_every: int = EVAL_EVERY
     eval_episodes: int = EVAL_EPISODES
-    profile: str = "full"
+    profile: str = DEFAULT_PROFILE
 
     def key(self) -> str:
         return (
@@ -98,7 +100,7 @@ class TrialSpec:
 
 
 def make_spec(task: TaskId, method: str, tau: float, eta: float = 0.01,
-              clip: float = 10.0, restart_seed: int = 0, profile: str = "full",
+              clip: float = 10.0, restart_seed: int = 0, profile: str = DEFAULT_PROFILE,
               **overrides) -> TrialSpec:
     prof = PROFILES[profile]
     spec = TrialSpec(

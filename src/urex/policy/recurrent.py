@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..envs import lockstep, repeat_envs
-from ..types import Trajectory, TrajectoryBatch
+from ..types import TrajectoryBatch
 from .params import ParamVector
 
 INIT_SCALE = 0.08
@@ -336,10 +336,6 @@ class RecurrentPolicy:
 
         return self._forward(observations[:, 0].copy(),
                              lambda t, idx, logits, probs: actions[idx, t], advance, collect)
-
-    def log_prob(self, trajectory: Trajectory) -> float:
-        logp, _ = self.replay([trajectory])
-        return float(logp[0])
 
     def weighted_logprob(self, trajectories, coefficients) -> float:
         logp, _ = self.replay(trajectories)

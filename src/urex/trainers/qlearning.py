@@ -62,7 +62,7 @@ class DoubleQLearner:
     def q_values(self, trajectory) -> np.ndarray:
         """Online-net Q-values along a fixed episode, shape (T, A)."""
         _, cache = self.online.replay([trajectory], collect=True)
-        return np.stack([st.logits[0] for st in cache.steps])
+        return _episode_logits(cache)
 
     def train_step(self, env) -> dict:
         """Collect one epsilon-greedy episode from ``env`` and fit its targets."""
@@ -71,23 +71,19 @@ class DoubleQLearner:
         batch, cache = self.online.rollout([env], rng=self.rng, eps=eps, collect=True)
         T = int(batch.lengths[0])
         rewards = batch.rewards[0, :T]
-        gamma = self.config.discount
-        q_online = np.array([cache.steps[t].logits[0] for t in range(T)])
+        q_online = _episode_logits(cache)
         _, target_cache = self.target.replay(batch, collect=True)
-        q_target = np.array([target_cache.steps[t].logits[0] for t in range(T)])
-        targets = np.empty(T)
-        for t in range(T - 1):
-            best_next = int(q_online[t + 1].argmax())
-            targets[t] = rewards[t] + gamma * q_target[t + 1, best_next]
-        targets[T - 1] = rewards[T - 1]
+        q_target = _episode_logits(target_cache)
+        best_next = q_online[1:].argmax(axis=1)
+        targets = rewards.copy()
+        targets[:-1] += self.config.discount * q_target[1:][np.arange(T - 1), best_next]
         taken = batch.actions[0, :T, 0]
         residual = q_online[np.arange(T), taken] - targets
 
         def dlogits_fn(t, st):
             d = np.zeros_like(st.head_probs)
-            if t < T:
-                # ascent on the negated squared error
-                d[0, taken[t]] = -2.0 * residual[t]
+            # ascent on the negated squared error
+            d[0, taken[t]] = -2.0 * residual[t]
             return d
 
         grad = self.online.backward(cache, dlogits_fn)
@@ -109,3 +105,7 @@ class DoubleQLearner:
         trajs, _ = self.online.rollout([env], greedy=True)
         return trajs[0]
 
+
+def _episode_logits(cache) -> np.ndarray:
+    """A one-row episode's cached head logits, one row per step: (T, A)."""
+    return np.concatenate([st.logits for st in cache.steps])

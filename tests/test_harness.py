@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urex.envs import TaskId, make_env
-from urex.harness import (GridResult, TrialSpec, evaluate_greedy,
-                          generalization_sweep, make_spec, render_trace,
-                          run_grid, run_trial)
+from urex.envs import BanditEnv, TaskId, make_env
+from urex.harness import (BanditExperimentConfig, GridResult, TrialSpec,
+                          evaluate_greedy, generalization_sweep, make_spec,
+                          render_trace, run_bandit_experiment, run_grid,
+                          run_trial, train_bandit_policy)
 from urex.harness import blas, grid
 from urex.harness.config import load_config, merge_overrides, parse_value
 from urex.harness.trace import collect_actions
@@ -356,3 +357,67 @@ def test_cli_bandit_small(tmp_path, capsys):
     assert "best settings" in out and "advantage>0" in out
     csv = (tmp_path / "bandit_curves.csv").read_text()
     assert csv.startswith("step,ment_mean,ment_std,urex_mean,urex_std")
+    cfg = BanditExperimentConfig(num_actions=50, dim=5, beta=2.0, repeats=2, restarts=1, steps=20)
+    assert csv == run_bandit_experiment(cfg).to_csv()
+
+
+def test_bandit_runs_record_every_tenth_step_and_the_last():
+    cfg = BanditExperimentConfig(num_actions=20, dim=4, steps=95)
+    assert cfg.record_steps() == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
+    env = BanditEnv(0, num_actions=cfg.num_actions, dim=cfg.dim)
+    env.reset()
+    trace = train_bandit_policy(env, "urex", 0.1, 0.01, cfg, restart_seed=0)
+    assert trace.shape == (len(cfg.record_steps()),)
+
+
+def test_cli_generalize_and_trace_take_their_options_from_a_config_file(tmp_path, capsys,
+                                                                        monkeypatch):
+    from urex.harness import cli
+
+    def printed(argv, conf=None):
+        if conf is not None:
+            path = tmp_path / "options.conf"
+            path.write_text(conf)
+            argv = [*argv, "--config", str(path)]
+        cli.main([*argv, "--out", str(tmp_path)])
+        return capsys.readouterr().out
+
+    sweeps = []
+    sweep = cli.generalization_sweep
+    monkeypatch.setattr(cli, "generalization_sweep",
+                        lambda *args, **kw: sweeps.append(kw) or sweep(*args, **kw))
+    generalize = ["generalize", "--checkpoint", "oracle", "--task", "Copy"]
+    by_flags = printed([*generalize, "--max-len", "30", "--episodes", "2", "--seed", "5"])
+    by_file = printed(generalize, "max_len = 30\nepisodes = 2\nseed = 5\n")
+    assert by_file == by_flags == "length,correct,episodes\n30,2,2\nmax,30,\n\n"
+    assert sweeps == [dict(lengths=[30], episodes_per_length=2, seed=5)] * 2
+
+    trace = ["trace", "--task", "BinarySearch"]
+    by_flags = printed([*trace, "--seed", "3", "--strategy", "linear"])
+    assert printed(trace, "seed = 3\nstrategy = linear\n") == by_flags
+    assert printed(trace) != by_flags  # seed 0 and binary search
+
+
+def test_cli_run_names_its_files_by_the_spec_given_only_the_required_flags(tmp_path, capsys):
+    from urex.harness.cli import main
+
+    main(["run", "--task", "Copy", "--method", "urex", "--tau", "0.1", "--steps", "1",
+          "--out", str(tmp_path)])
+    stem = make_spec(TaskId.COPY, "urex", 0.1, max_steps=1).stem()
+    assert sorted(os.listdir(tmp_path)) == [f"{stem}.ckpt", f"{stem}.jsonl"]
+
+
+def test_cli_run_takes_a_zero_step_budget_as_the_profiles(monkeypatch):
+    from urex.harness import cli
+
+    class Ran(Exception):
+        pass
+
+    def run_trial(spec, metrics_path=None):
+        raise Ran(spec)
+
+    monkeypatch.setattr(cli, "run_trial", run_trial)
+    with pytest.raises(Ran) as ran:
+        cli.main(["run", "--task", "Copy", "--method", "ment", "--tau", "0.0", "--steps", "0",
+                  "--profile", "desk"])
+    assert ran.value.args[0] == make_spec(TaskId.COPY, "ment", 0.0, profile="desk")

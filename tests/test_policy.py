@@ -40,7 +40,7 @@ def test_recomputed_log_prob_matches_sampled():
     env, pol = make_copy_policy(hidden=16)
     for seed in range(20):
         traj = sample_trajectory(pol, env.clone(), seed)
-        assert pol.log_prob(traj) == pytest.approx(traj.log_prob, abs=1e-9)
+        assert pol.replay([traj])[0][0] == pytest.approx(traj.log_prob, abs=1e-9)
 
 
 def same_bits(a, b):
@@ -394,7 +394,7 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     # recomputation after the round trip is bit-identical
     traj = sample_trajectory(pol, env.clone(), 0)
-    assert loaded.log_prob(traj) == pol.log_prob(traj)
+    assert loaded.replay([traj])[0][0] == pol.replay([traj])[0][0]
 
 
 def test_linear_policy_log_prob_and_grad():

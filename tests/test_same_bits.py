@@ -1,4 +1,5 @@
-"""Row normalisation and the mismatch report of ``tools/same_bits.py``."""
+"""Row normalisation, the mismatch report and the command-line digests of
+``tools/same_bits.py``."""
 
 import importlib.util
 import json
@@ -45,3 +46,13 @@ def test_probe_digests_every_episode_a_sweep_decodes():
         assert [len(episode.actions) for episode in probe.episodes] == [6, 6, 10, 10]
         digests.append(probe.digest())
     assert digests[0] == digests[1] != digests[2]
+
+
+def test_cli_digests_cover_each_file_and_trace_of_the_command_line_runs(tmp_path):
+    digests = same_bits.cli_digests(tmp_path)
+    assert sorted(digests) == sorted([
+        "cli run files", "cli run jsonl", "cli run ckpt", "cli bandit files", "cli bandit csv",
+        "cli generalize files", "cli generalize csv", "cli trace BinarySearch text",
+        "cli trace ReversedAddition text"])
+    (rows,) = (tmp_path / "run").glob("*.jsonl")
+    assert digests["cli run jsonl"] == same_bits.sha(same_bits.normalise_rows(rows.read_text()))

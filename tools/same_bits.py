@@ -15,7 +15,12 @@ are compared:
   ``urex generalize --checkpoint oracle --max-len 100 --episodes 5``
   runs it, and one sweep per length of ``SWEPT_LENGTHS`` on the trained
   policy of the trial ``SWEPT_TRIAL`` (a sweep stops at its first
-  imperfect length, so one sweep of both would probe only the first).
+  imperfect length, so one sweep of both would probe only the first);
+- flag-only ``urex`` command-line runs (``CLI_RUNS``): the file names,
+  metrics rows without ``wall_ms`` and checkpoint bytes of a 3-step desk
+  ``urex run``, the CSVs of a small ``urex bandit`` and of ``urex
+  generalize --checkpoint oracle``, and the text of ``urex trace`` on
+  BinarySearch and ReversedAddition.
 
 The trials run in a child process per checkout that imports ``urex``
 from that checkout's ``src/``.  Exits 1 if any digest differs or is
@@ -44,6 +49,17 @@ TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120),
 TRIAL_SEEDS = (0, 1, 2)
 SWEPT_TRIAL, SWEPT_LENGTHS = "Copy/urex/120/seed0", (30, 100)
 ORACLE_SWEEP_LENGTHS, ORACLE_SWEEP_EPISODES = (30, 100), 5
+# name -> argv of the flag-only command-line runs; each writes to --out <tmp>/<name>
+CLI_RUNS = {
+    "run": ["run", "--task", "Copy", "--method", "urex", "--tau", "0.1", "--profile", "desk",
+            "--steps", "3"],
+    "bandit": ["bandit", "--actions", "50", "--dim", "5", "--beta", "2", "--repeats", "2",
+               "--restarts", "2", "--steps", "25"],
+    "generalize": ["generalize", "--checkpoint", "oracle", "--task", "Reverse",
+                   "--max-len", "100", "--episodes", "5"],
+    "trace BinarySearch": ["trace", "--task", "BinarySearch", "--seed", "3"],
+    "trace ReversedAddition": ["trace", "--task", "ReversedAddition", "--seed", "3"],
+}
 
 
 def sha(text: str) -> str:
@@ -101,6 +117,34 @@ class Probe:
         return sha(repr(self.episodes))
 
 
+def cli_digests(tmp: Path) -> dict:
+    """Digests of the ``CLI_RUNS``, run with the ``urex`` on ``sys.path``:
+    the files each run writes (metrics rows without ``wall_ms``) and, for
+    the traces, the printed text."""
+    import contextlib
+    import io
+
+    from urex.harness.cli import main
+
+    digests = {}
+    for name, argv in CLI_RUNS.items():
+        out_dir = tmp / name.replace(" ", "_")
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            main([*argv, "--out", str(out_dir)])
+        if name.startswith("trace"):
+            digests[f"cli {name} text"] = sha(printed.getvalue())
+            continue
+        paths = sorted(out_dir.iterdir())
+        digests[f"cli {name} files"] = sha(" ".join(path.name for path in paths))
+        for path in paths:
+            data = path.read_bytes()
+            if path.suffix == ".jsonl":
+                data = normalise_rows(data.decode()).encode()
+            digests[f"cli {name} {path.suffix[1:]}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
 def trial_digests() -> dict:
     """Digests of the fixed trials, run with the ``urex`` on ``sys.path``."""
     import math
@@ -132,6 +176,7 @@ def trial_digests() -> dict:
                         record = generalization_sweep(probe, TaskId.parse(task), lengths=(length,))
                         digests[f"{name} sweep {length}"] = sha(record.to_csv())
                         digests[f"{name} sweep {length} episodes"] = probe.digest()
+        digests.update(cli_digests(Path(tmp)))
     sweep = dict(lengths=ORACLE_SWEEP_LENGTHS, episodes_per_length=ORACLE_SWEEP_EPISODES)
     for task in TAPE_TASKS:
         record = generalization_sweep("oracle", task, **sweep)
