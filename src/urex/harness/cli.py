@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 
 from ..envs import TaskId, make_env
 from ..policy import load_policy, save_policy
 from .bandit_exp import BanditExperimentConfig, run_bandit_experiment
-from .config import load_config, merge_overrides
 from .generalize import PROBE_LENGTHS, generalization_sweep
 from .grid import run_grid
 from .profiles import DEFAULT_PROFILE, PROFILES, make_spec
@@ -22,25 +22,33 @@ def _add_common(p):
     p.add_argument("--out", default="runs", help="output directory")
 
 
-def _gather(args) -> dict:
-    """The config file's values, overridden by every flag given."""
-    fileconf = load_config(args.config) if args.config else {}
-    return merge_overrides(fileconf, vars(args))
+def _config_flags(path) -> list[str]:
+    """A config file's ``KEY = value`` lines as ``--key-with-hyphens value``
+    flags, in file order; ``#`` starts a comment."""
+    flags = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise argparse.ArgumentTypeError(
+                    f"{path}:{lineno}: expected KEY=value, got {raw!r}")
+            key, _, value = line.partition("=")
+            flags += ["--" + key.strip().replace("_", "-"), value.strip()]
+    return flags
 
 
-def _given(conf, **params) -> dict:
-    """Library keywords: ``key=(parameter, type)`` passes ``type(conf[key])``
-    as ``parameter`` if the key was given; else the library's default holds."""
-    return {name: cast(conf[key]) for key, (name, cast) in params.items() if key in conf}
+def _given(args, *names) -> dict:
+    """Library keywords for the named values that were given; a value
+    given neither as a flag nor in the file keeps the library's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def cmd_run(args):
-    conf = _gather(args)
-    overrides = _given(conf, eta=("eta", float), clip=("clip", float),
-                       seed=("restart_seed", int), profile=("profile", str))
-    if conf.get("steps"):  # a zero budget means the profile's
-        overrides["max_steps"] = int(conf["steps"])
-    spec = make_spec(TaskId.parse(conf["task"]), conf["method"], float(conf["tau"]), **overrides)
+    args.max_steps = args.max_steps or None  # a zero budget means the profile's
+    spec = make_spec(TaskId.parse(args.task), args.method, args.tau, **_given(
+        args, "eta", "clip", "restart_seed", "max_steps", "profile"))
     os.makedirs(args.out, exist_ok=True)
     stem = spec.stem()
     result = run_trial(spec, metrics_path=os.path.join(args.out, f"{stem}.jsonl"))
@@ -49,12 +57,10 @@ def cmd_run(args):
 
 
 def cmd_grid(args):
-    conf = _gather(args)
-    task = TaskId.parse(conf["task"])
+    task = TaskId.parse(args.task)
     os.makedirs(args.out, exist_ok=True)
-    profile = conf.get("profile", DEFAULT_PROFILE)
-    stem = f"grid_{task.value}_{conf['method']}_tau{conf['tau']}_{profile}"
-    result = run_grid(task, conf["method"], float(conf["tau"]), profile=profile,
+    stem = f"grid_{task.value}_{args.method}_tau{args.tau}_{args.profile}"
+    result = run_grid(task, args.method, args.tau, profile=args.profile,
                       manifest_path=os.path.join(args.out, f"{stem}.jsonl"))
     with open(os.path.join(args.out, f"{stem}.csv"), "w") as fh:
         fh.write(result.to_csv())
@@ -62,12 +68,12 @@ def cmd_grid(args):
 
 
 def cmd_generalize(args):
-    conf = _gather(args)
-    policy = "oracle" if conf["checkpoint"] == "oracle" else load_policy(conf["checkpoint"])
-    task = TaskId.parse(conf["task"])
-    record = generalization_sweep(policy, task, **_given(
-        conf, max_len=("lengths", lambda cap: [n for n in PROBE_LENGTHS if n <= cap]),
-        episodes=("episodes_per_length", int), seed=("seed", int)))
+    policy = "oracle" if args.checkpoint == "oracle" else load_policy(args.checkpoint)
+    task = TaskId.parse(args.task)
+    sweep = _given(args, "episodes_per_length", "seed")
+    if args.max_len is not None:
+        sweep["lengths"] = [n for n in PROBE_LENGTHS if n <= args.max_len]
+    record = generalization_sweep(policy, task, **sweep)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, f"generalize_{task.value}.csv"), "w") as fh:
         fh.write(record.to_csv())
@@ -75,11 +81,8 @@ def cmd_generalize(args):
 
 
 def cmd_bandit(args):
-    conf = _gather(args)
     cfg = BanditExperimentConfig(**_given(
-        conf, actions=("num_actions", int), dim=("dim", int), beta=("beta", float),
-        repeats=("repeats", int), restarts=("restarts", int), steps=("steps", int),
-        seed=("seed", int)))
+        args, "num_actions", "dim", "beta", "repeats", "restarts", "steps", "seed"))
     result = run_bandit_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "bandit_curves.csv"), "w") as fh:
@@ -92,11 +95,10 @@ def cmd_bandit(args):
 
 
 def cmd_trace(args):
-    conf = _gather(args)
-    env = make_env(TaskId.parse(conf["task"]), int(conf.get("seed", 0)))
+    env = make_env(TaskId.parse(args.task), args.seed)
     env.reset()
-    actor = load_policy(conf["checkpoint"]) if conf.get("checkpoint") else "oracle"
-    print(render_trace(env, actor, **_given(conf, strategy=("strategy", str))))
+    actor = load_policy(args.checkpoint) if args.checkpoint else "oracle"
+    print(render_trace(env, actor, **_given(args, "strategy")))
 
 
 def main(argv=None):
@@ -109,8 +111,8 @@ def main(argv=None):
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--eta", type=float)
     p.add_argument("--clip", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--seed", type=int, dest="restart_seed")
+    p.add_argument("--steps", type=int, dest="max_steps")
     p.add_argument("--profile", choices=sorted(PROFILES))
     _add_common(p)
     p.set_defaults(func=cmd_run)
@@ -119,7 +121,7 @@ def main(argv=None):
     p.add_argument("--task", required=True)
     p.add_argument("--method", choices=["ment", "urex", "qlearn"], required=True)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--profile", choices=sorted(PROFILES))
+    p.add_argument("--profile", choices=sorted(PROFILES), default=DEFAULT_PROFILE)
     _add_common(p)
     p.set_defaults(func=cmd_grid)
 
@@ -127,13 +129,13 @@ def main(argv=None):
     p.add_argument("--checkpoint", required=True, help="policy checkpoint, or 'oracle'")
     p.add_argument("--task", required=True)
     p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--episodes", type=int)
+    p.add_argument("--episodes", type=int, dest="episodes_per_length")
     p.add_argument("--seed", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_generalize)
 
     p = sub.add_parser("bandit", help="large-action bandit method comparison")
-    p.add_argument("--actions", type=int)
+    p.add_argument("--actions", type=int, dest="num_actions")
     p.add_argument("--dim", type=int)
     p.add_argument("--beta", type=float)
     p.add_argument("--repeats", type=int)
@@ -145,12 +147,18 @@ def main(argv=None):
 
     p = sub.add_parser("trace", help="print one episode trace")
     p.add_argument("--task", required=True)
-    p.add_argument("--seed", type=int, help="episode seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="episode seed (default 0)")
     p.add_argument("--checkpoint")
     p.add_argument("--strategy", choices=["linear", "binary"])
     _add_common(p)
     p.set_defaults(func=cmd_trace)
 
+    # A config file's lines become flags right after the subcommand, so the
+    # one parser checks them, and a flag on the command line, parsed later, wins.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(prog="urex", add_help=False)
+    pre.add_argument("--config", type=_config_flags, default=[])
+    argv[1:1] = pre.parse_known_args(argv)[0].config
     args = parser.parse_args(argv)
     args.func(args)
 

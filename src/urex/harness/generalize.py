@@ -10,7 +10,6 @@ import numpy as np
 from ..envs import TAPE_TASKS, TaskId, draw_latents, oracle_rollout
 
 PROBE_LENGTHS = (30, 100, 500, 1000, 2000)
-MAX_PROBE_LENGTH = 2000
 
 
 @dataclass
@@ -71,5 +70,5 @@ def generalization_sweep(policy, task: TaskId, lengths=PROBE_LENGTHS,
             else:
                 hi = mid
         last_perfect = lo
-    record.max_perfect_length = min(last_perfect, MAX_PROBE_LENGTH)
+    record.max_perfect_length = last_perfect
     return record

@@ -15,7 +15,6 @@ from urex.harness import (BanditExperimentConfig, GridResult, TrialSpec,
                           render_trace, run_bandit_experiment, run_grid,
                           run_trial, train_bandit_policy)
 from urex.harness import blas, grid
-from urex.harness.config import load_config, merge_overrides, parse_value
 from urex.harness.trace import collect_actions
 
 
@@ -239,6 +238,11 @@ def test_generalization_oracle_perfect_everywhere():
     assert csv.startswith("length,correct,episodes")
 
 
+def test_generalization_reports_a_perfect_probe_beyond_the_default_lengths():
+    record = generalization_sweep("oracle", TaskId.COPY, lengths=(2500,), episodes_per_length=1)
+    assert record.to_csv() == "length,correct,episodes\n2500,1,1\nmax,2500,\n"
+
+
 def test_generalization_refinement_finds_exact_cutoff():
     class LengthCappedActor:
         """Greedy actor that is perfect up to a hidden cutoff length."""
@@ -281,15 +285,72 @@ def test_evaluate_greedy_scores_perfect_oracle_policy():
     assert accuracy < 1.0
 
 
-def test_config_parsing(tmp_path):
+class _Ran(Exception):
+    """Stops ``urex run`` at its trial, carrying the spec it built."""
+
+
+def _run_spec(monkeypatch, argv) -> TrialSpec:
+    from urex.harness import cli
+
+    def run_trial(spec, metrics_path=None):
+        raise _Ran(spec)
+
+    monkeypatch.setattr(cli, "run_trial", run_trial)
+    with pytest.raises(_Ran) as ran:
+        cli.main(argv)
+    return ran.value.args[0]
+
+
+def test_config_parsing(tmp_path, monkeypatch, capsys):
+    from urex.harness.cli import main
+
     path = tmp_path / "conf"
-    path.write_text("# comment\ntask = Copy\n eta=0.1\nsteps= 200 # inline\nflag=true\n")
-    conf = load_config(path)
-    assert conf == {"task": "Copy", "eta": 0.1, "steps": 200, "flag": True}
-    merged = merge_overrides(conf, {"eta": None, "steps": 300})
-    assert merged["eta"] == 0.1 and merged["steps"] == 300
-    assert parse_value("1e-3") == 1e-3
-    assert parse_value("urex") == "urex"
+    path.write_text("# comment\n\ntask = Copy\n method=ment\ntau= 0 # inline\neta=1e-3\n"
+                    "steps = 200\n")
+    spec = _run_spec(monkeypatch, ["run", "--config", str(path), "--steps", "300",
+                                   "--out", str(tmp_path)])
+    assert spec == make_spec(TaskId.COPY, "ment", 0.0, eta=1e-3, max_steps=300)
+    path.write_text("task = Copy\nmethod ment\n")
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "--config", str(path)])
+    assert exit.value.code == 2
+    assert f"{path}:2: expected KEY=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--task", "Copy", "--method", "ment", "--tau", "0", "--profile", "desk",
+     "--steps", "1"],
+    ["trace", "--task", "Copy"],
+    ["generalize", "--checkpoint", "oracle", "--task", "Copy", "--max-len", "30",
+     "--episodes", "1"]], ids=["run", "trace", "generalize"])
+@pytest.mark.parametrize("key, value", [("profile", "bogus"), ("strategy", "bogus"),
+                                        ("seed", "x"), ("stepz", "1")])
+def test_cli_refuses_a_bad_config_value_as_it_refuses_the_flag(tmp_path, monkeypatch, capsys,
+                                                               argv, key, value):
+    from urex.harness.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.conf"
+    path.write_text(f"{key} = {value}\n")
+    errors = []
+    for given in (["--config", str(path)], [f"--{key}", value]):
+        with pytest.raises(SystemExit) as exit:
+            main([*argv, *given])
+        assert exit.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "error:" in errors[0]
+
+
+def test_cli_run_writes_under_the_config_files_out(tmp_path, monkeypatch, capsys):
+    from urex.harness.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "conf"
+    path.write_text(f"out = {tmp_path / 'from_file'}\nsteps = 1\nprofile = desk\n")
+    main(["run", "--task", "Copy", "--method", "ment", "--tau", "0", "--config", str(path)])
+    stem = make_spec(TaskId.COPY, "ment", 0.0, profile="desk", max_steps=1).stem()
+    assert sorted(os.listdir(tmp_path)) == ["conf", "from_file"]
+    assert sorted(os.listdir(tmp_path / "from_file")) == [f"{stem}.ckpt", f"{stem}.jsonl"]
 
 
 def test_cli_trace_runs(capsys):
@@ -407,17 +468,7 @@ def test_cli_run_names_its_files_by_the_spec_given_only_the_required_flags(tmp_p
     assert sorted(os.listdir(tmp_path)) == [f"{stem}.ckpt", f"{stem}.jsonl"]
 
 
-def test_cli_run_takes_a_zero_step_budget_as_the_profiles(monkeypatch):
-    from urex.harness import cli
-
-    class Ran(Exception):
-        pass
-
-    def run_trial(spec, metrics_path=None):
-        raise Ran(spec)
-
-    monkeypatch.setattr(cli, "run_trial", run_trial)
-    with pytest.raises(Ran) as ran:
-        cli.main(["run", "--task", "Copy", "--method", "ment", "--tau", "0.0", "--steps", "0",
-                  "--profile", "desk"])
-    assert ran.value.args[0] == make_spec(TaskId.COPY, "ment", 0.0, profile="desk")
+def test_cli_run_takes_a_zero_step_budget_as_the_profiles(tmp_path, monkeypatch):
+    spec = _run_spec(monkeypatch, ["run", "--task", "Copy", "--method", "ment", "--tau", "0.0",
+                                   "--steps", "0", "--profile", "desk", "--out", str(tmp_path)])
+    assert spec == make_spec(TaskId.COPY, "ment", 0.0, profile="desk")

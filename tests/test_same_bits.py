@@ -51,8 +51,11 @@ def test_probe_digests_every_episode_a_sweep_decodes():
 def test_cli_digests_cover_each_file_and_trace_of_the_command_line_runs(tmp_path):
     digests = same_bits.cli_digests(tmp_path)
     assert sorted(digests) == sorted([
-        "cli run files", "cli run jsonl", "cli run ckpt", "cli bandit files", "cli bandit csv",
+        "cli run files", "cli run jsonl", "cli run ckpt", "cli run config files",
+        "cli run config jsonl", "cli run config ckpt", "cli bandit files", "cli bandit csv",
         "cli generalize files", "cli generalize csv", "cli trace BinarySearch text",
         "cli trace ReversedAddition text"])
     (rows,) = (tmp_path / "run").glob("*.jsonl")
     assert digests["cli run jsonl"] == same_bits.sha(same_bits.normalise_rows(rows.read_text()))
+    for output in ("files", "jsonl", "ckpt"):  # the config file gives the flags' run
+        assert digests[f"cli run config {output}"] == digests[f"cli run {output}"]

@@ -16,11 +16,12 @@ are compared:
   runs it, and one sweep per length of ``SWEPT_LENGTHS`` on the trained
   policy of the trial ``SWEPT_TRIAL`` (a sweep stops at its first
   imperfect length, so one sweep of both would probe only the first);
-- flag-only ``urex`` command-line runs (``CLI_RUNS``): the file names,
-  metrics rows without ``wall_ms`` and checkpoint bytes of a 3-step desk
-  ``urex run``, the CSVs of a small ``urex bandit`` and of ``urex
-  generalize --checkpoint oracle``, and the text of ``urex trace`` on
-  BinarySearch and ReversedAddition.
+- ``urex`` command-line runs (``CLI_RUNS``): the file names, metrics
+  rows without ``wall_ms`` and checkpoint bytes of a 3-step desk ``urex
+  run``, given by flags and again with its optional values in a config
+  file (``RUN_CONFIG``), the CSVs of a small ``urex bandit`` and of
+  ``urex generalize --checkpoint oracle``, and the text of ``urex
+  trace`` on BinarySearch and ReversedAddition.
 
 The trials run in a child process per checkout that imports ``urex``
 from that checkout's ``src/``.  Exits 1 if any digest differs or is
@@ -49,10 +50,12 @@ TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120),
 TRIAL_SEEDS = (0, 1, 2)
 SWEPT_TRIAL, SWEPT_LENGTHS = "Copy/urex/120/seed0", (30, 100)
 ORACLE_SWEEP_LENGTHS, ORACLE_SWEEP_EPISODES = (30, 100), 5
-# name -> argv of the flag-only command-line runs; each writes to --out <tmp>/<name>
+RUN_REQUIRED = ["run", "--task", "Copy", "--method", "urex", "--tau", "0.1"]
+RUN_CONFIG = "profile = desk\nsteps = 3\n"  # the file that "<config>" names in an argv
+# name -> argv of the command-line runs; each writes to --out <tmp>/<name>
 CLI_RUNS = {
-    "run": ["run", "--task", "Copy", "--method", "urex", "--tau", "0.1", "--profile", "desk",
-            "--steps", "3"],
+    "run": [*RUN_REQUIRED, "--profile", "desk", "--steps", "3"],
+    "run config": [*RUN_REQUIRED, "--config", "<config>"],
     "bandit": ["bandit", "--actions", "50", "--dim", "5", "--beta", "2", "--repeats", "2",
                "--restarts", "2", "--steps", "25"],
     "generalize": ["generalize", "--checkpoint", "oracle", "--task", "Reverse",
@@ -126,12 +129,15 @@ def cli_digests(tmp: Path) -> dict:
 
     from urex.harness.cli import main
 
+    config = tmp / "run.conf"
+    config.write_text(RUN_CONFIG)
     digests = {}
     for name, argv in CLI_RUNS.items():
         out_dir = tmp / name.replace(" ", "_")
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
-            main([*argv, "--out", str(out_dir)])
+            main([*(str(config) if arg == "<config>" else arg for arg in argv),
+                  "--out", str(out_dir)])
         if name.startswith("trace"):
             digests[f"cli {name} text"] = sha(printed.getvalue())
             continue
