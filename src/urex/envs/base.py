@@ -124,19 +124,33 @@ class RowStepper:
                 np.array(done, dtype=bool), np.array(cause, dtype=object))
 
 
-def play(env: Env, actions):
-    """Restart ``env`` and step it through ``actions`` until the episode
-    ends, yielding (observation before the step, action, StepResult)."""
-    obs = env.restart()
-    for action in actions:
+def play(env: Env, script):
+    """Restart ``env`` and step it until the episode ends or ``script`` runs out.
+
+    ``script`` is an iterable of actions.  A generator script is sent
+    each step's observation and yields the next action; its first action
+    is asked for with ``None``.  Returns the episode as three lists: the
+    observation before each step, the actions, and the ``StepResult``s.
+    """
+    it = iter(script)
+    send = getattr(it, "send", lambda obs: next(it))
+    observations, actions, results = [], [], []
+    obs, sent = env.restart(), None
+    while True:
+        try:
+            action = send(sent)
+        except StopIteration:
+            return observations, actions, results
         res = env.step(action)
-        yield obs, action, res
+        observations.append(obs)
+        actions.append(action)
+        results.append(res)
         if res.done:
-            return
-        obs = res.obs
+            return observations, actions, results
+        obs = sent = res.obs
 
 
 def replay_trace(env: Env, actions) -> list[str]:
     """Restart ``env`` and replay ``actions``: one ``t, obs, action, reward, done`` line a step."""
     return [f"{t}, {env.obs_str(obs)}, {env.action_str(action)}, {res.reward:g}, {int(res.done)}"
-            for t, (obs, action, res) in enumerate(play(env, actions), start=1)]
+            for t, (obs, action, res) in enumerate(zip(*play(env, actions)), start=1)]

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from ..types import Trajectory
 from .base import Env, EpisodeError, play
-from .search import (BinarySearchEnv, action_index, scripted_binary_search,
-                     scripted_linear_search)
+from .search import BinarySearchEnv, _binary_script, _linear_script, action_index
 from .tape import (MOVE_LEFT, MOVE_RIGHT, CopyEnv, DuplicatedInputEnv,
                    RepeatCopyEnv, ReverseEnv, ReversedAdditionEnv, TapeAction,
                    TapeEnv)
@@ -19,30 +18,27 @@ def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:
     trajectory has ``log_prob`` 0 since no policy was involved.
     """
     if isinstance(env, BinarySearchEnv):
-        searches = {"linear": scripted_linear_search, "binary": scripted_binary_search}
-        if strategy not in searches:
+        scripts = {"linear": _linear_script, "binary": _binary_script}
+        if strategy not in scripts:
             raise EpisodeError(f"unknown search strategy {strategy!r}")
-        env.restart()
-        actions, rewards, observations = searches[strategy](env)
-        actions = [(action_index(a),) for a in actions]  # store head-index tuples
+        script = scripts[strategy](env)
     elif isinstance(env, TapeEnv):
-        actions = _tape_oracle_actions(env)
-        steps = list(play(env, actions))
-        if len(steps) != len(actions):
-            raise EpisodeError("oracle script ended before its action list")
-        observations = [obs for obs, _, _ in steps]
-        rewards = [res.reward for _, _, res in steps]
+        script = _tape_oracle_actions(env)
     else:
         raise EpisodeError(f"no oracle for task {type(env).__name__}")
+    observations, actions, results = play(env, script)
+    if isinstance(env, BinarySearchEnv):
+        actions = [(action_index(a),) for a in actions]  # store head-index tuples
+    elif len(actions) != len(script):
+        raise EpisodeError("oracle script ended before its action list")
+    rewards = [res.reward for res in results]
     return Trajectory(
         observations=observations,
         actions=[tuple(a) for a in actions],
         rewards=rewards,
         total_reward=float(sum(rewards)),
-        log_prob=0.0,
         env_seed=env.seed,
         max_total_reward=env.max_total_reward(),
-        cause=None,
     )
 
 

@@ -10,9 +10,10 @@ Probing the cell that holds x ends the episode with reward
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import NamedTuple
 
-from .base import FOUND_QUERY, STEP_LIMIT, Env, StepResult
+from .base import FOUND_QUERY, STEP_LIMIT, Env, StepResult, play
 
 OP_INC, OP_DIV, OP_AVG, OP_CMP = 0, 1, 2, 3
 _OP_NAMES = ("INC", "DIV", "AVG", "CMP")
@@ -89,31 +90,23 @@ class BinarySearchEnv(Env):
         self.steps += 1
         regs = self.registers
         obs = CMP_NONE
-        reward = 0.0
-        cause = None
-        if op == OP_INC:
+        if op == OP_CMP:
+            cell = self.array[min(max(regs[reg], 0), self.n - 1)]
+            if self.query == cell:
+                self.done = True
+                return StepResult(CMP_EQ, 10.0 * (1.0 - self.steps / self.step_limit),
+                                  True, FOUND_QUERY)
+            obs = CMP_LT if self.query < cell else CMP_GT
+        elif op == OP_INC:
             regs[reg] += 1
         elif op == OP_DIV:
             regs[reg] //= 2
-        elif op == OP_AVG:
-            a, b = (regs[i] for i in range(3) if i != reg)
-            regs[reg] = (a + b) // 2
-        else:  # CMP
-            idx = min(max(regs[reg], 0), self.n - 1)
-            cell = self.array[idx]
-            if self.query < cell:
-                obs = CMP_LT
-            elif self.query > cell:
-                obs = CMP_GT
-            else:
-                obs = CMP_EQ
-                self.done = True
-                cause = FOUND_QUERY
-                reward = 10.0 * (1.0 - self.steps / self.step_limit)
-        if not self.done and self.steps >= self.step_limit:
+        else:  # AVG of the other two registers
+            regs[reg] = (regs[0] + regs[1] + regs[2] - regs[reg]) // 2
+        if self.steps >= self.step_limit:
             self.done = True
-            cause = STEP_LIMIT
-        return StepResult(obs, reward, self.done, cause)
+            return StepResult(obs, 0.0, True, STEP_LIMIT)
+        return StepResult(obs, 0.0, False, None)
 
     def action_str(self, action) -> str:
         op, reg = action
@@ -123,31 +116,39 @@ class BinarySearchEnv(Env):
         return _OBS_SYMBOLS[obs]
 
 
+def _linear_script(env: BinarySearchEnv):
+    """CMP(2), INC(2), CMP(2), ... without end; ``env`` is unused."""
+    return cycle((SearchAction(OP_CMP, 2), SearchAction(OP_INC, 2)))
+
+
+def _binary_script(env: BinarySearchEnv):
+    """The binary search's actions: each CMP is sent its observation, and
+    each AVG's probe value is read from the register it set."""
+    lo_reg, hi_reg, probe_reg = 1, 0, 2
+    lo_val = 0
+    while True:
+        yield SearchAction(OP_AVG, probe_reg)
+        probe_val = env.registers[probe_reg]
+        obs = yield SearchAction(OP_CMP, probe_reg)
+        if obs == CMP_LT:
+            if lo_val == 0:
+                # high register halves straight onto the probe value
+                yield SearchAction(OP_DIV, hi_reg)
+            else:
+                hi_reg, probe_reg = probe_reg, hi_reg
+        else:  # CMP_GT
+            lo_reg, probe_reg = probe_reg, lo_reg
+            lo_val = probe_val
+
+
 def scripted_linear_search(env: BinarySearchEnv):
     """Probe positions 0, 1, 2, ... via CMP(2) / INC(2) until the query is hit.
 
-    Returns (actions, rewards, observations); finding position p takes
-    2p + 1 steps.
+    Restarts ``env``.  Returns (actions, rewards, observations); finding
+    position p takes 2p + 1 steps.
     """
-    actions = []
-    rewards = []
-    observations = [CMP_NONE]
-    step = env.step
-    cmp2 = SearchAction(OP_CMP, 2)
-    inc2 = SearchAction(OP_INC, 2)
-    while True:
-        res = step(cmp2)
-        actions.append(cmp2)
-        rewards.append(res.reward)
-        if res.done:
-            return actions, rewards, observations
-        observations.append(res.obs)
-        res = step(inc2)
-        actions.append(inc2)
-        rewards.append(res.reward)
-        if res.done:
-            return actions, rewards, observations
-        observations.append(res.obs)
+    observations, actions, results = play(env, _linear_script(env))
+    return actions, [res.reward for res in results], observations
 
 
 def scripted_binary_search(env: BinarySearchEnv):
@@ -155,40 +156,8 @@ def scripted_binary_search(env: BinarySearchEnv):
 
     The three registers rotate through low / high / probe roles; a fresh
     probe costs one AVG and one CMP, so the query is found in roughly
-    ``2 log2(n)`` steps plus the leading DIV halvings.
+    ``2 log2(n)`` steps plus the leading DIV halvings.  Restarts ``env``.
     Returns (actions, rewards, observations).
     """
-    lo_reg, hi_reg, probe_reg = 1, 0, 2
-    lo_val = 0
-    actions = []
-    rewards = []
-    observations = []
-
-    def do(action):
-        observations.append(last_obs[0])
-        res = env.step(action)
-        actions.append(action)
-        rewards.append(res.reward)
-        last_obs[0] = res.obs
-        return res
-
-    last_obs = [CMP_NONE]
-    while True:
-        res = do(SearchAction(OP_AVG, probe_reg))
-        if res.done:
-            return actions, rewards, observations
-        probe_val = env.registers[probe_reg]
-        res = do(SearchAction(OP_CMP, probe_reg))
-        if res.done:
-            return actions, rewards, observations
-        if res.obs == CMP_LT:
-            if lo_val == 0:
-                # high register halves straight onto the probe value
-                res = do(SearchAction(OP_DIV, hi_reg))
-                if res.done:
-                    return actions, rewards, observations
-            else:
-                hi_reg, probe_reg = probe_reg, hi_reg
-        else:  # CMP_GT
-            lo_reg, probe_reg = probe_reg, lo_reg
-            lo_val = probe_val
+    observations, actions, results = play(env, _binary_script(env))
+    return actions, [res.reward for res in results], observations

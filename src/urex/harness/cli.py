@@ -25,8 +25,12 @@ def _add_common(p):
 def _config_flags(path) -> list[str]:
     """A config file's ``KEY = value`` lines as ``--key-with-hyphens value``
     flags, in file order; ``#`` starts a comment."""
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {err.strerror}") from err
     flags = []
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -37,6 +41,14 @@ def _config_flags(path) -> list[str]:
             key, _, value = line.partition("=")
             flags += ["--" + key.strip().replace("_", "-"), value.strip()]
     return flags
+
+
+def _probe_lengths(max_len) -> list[int]:
+    """``--max-len``: the probe lengths up to it, of which there must be one."""
+    lengths = [n for n in PROBE_LENGTHS if n <= int(max_len)]
+    if not lengths:
+        raise argparse.ArgumentTypeError(f"below the first probe length {PROBE_LENGTHS[0]}")
+    return lengths
 
 
 def _given(args, *names) -> dict:
@@ -70,9 +82,7 @@ def cmd_grid(args):
 def cmd_generalize(args):
     policy = "oracle" if args.checkpoint == "oracle" else load_policy(args.checkpoint)
     task = TaskId.parse(args.task)
-    sweep = _given(args, "episodes_per_length", "seed")
-    if args.max_len is not None:
-        sweep["lengths"] = [n for n in PROBE_LENGTHS if n <= args.max_len]
+    sweep = _given(args, "lengths", "episodes_per_length", "seed")
     record = generalization_sweep(policy, task, **sweep)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, f"generalize_{task.value}.csv"), "w") as fh:
@@ -128,7 +138,7 @@ def main(argv=None):
     p = sub.add_parser("generalize", help="length-generalization sweep")
     p.add_argument("--checkpoint", required=True, help="policy checkpoint, or 'oracle'")
     p.add_argument("--task", required=True)
-    p.add_argument("--max-len", type=int, dest="max_len")
+    p.add_argument("--max-len", type=_probe_lengths, dest="lengths", metavar="MAX_LEN")
     p.add_argument("--episodes", type=int, dest="episodes_per_length")
     p.add_argument("--seed", type=int)
     _add_common(p)

@@ -48,6 +48,8 @@ def generalization_sweep(policy, task: TaskId, lengths=PROBE_LENGTHS,
     """
     if task not in TAPE_TASKS:
         raise ValueError(f"length sweeps probe tape tasks, not {task.value}")
+    if not lengths:
+        raise ValueError("a sweep needs at least one length to probe")
     seed_rng = np.random.Generator(np.random.PCG64(seed))
     record = GeneralizationRecord(task=task, episodes_per_length=episodes_per_length)
     last_perfect = 0

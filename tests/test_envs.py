@@ -8,9 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import urex.envs as envs_module
-from urex.envs import (COMPLETED, STEP_LIMIT, WRONG_EMISSION, BanditEnv, Env,
+from urex.envs import (COMPLETED, FOUND_QUERY, STEP_LIMIT, WRONG_EMISSION, BanditEnv, Env,
                        RowStepper, TapeEnv, TapeLockstep, TaskId, draw_latents, lockstep,
-                       make_env, oracle_rollout, replay_trace)
+                       make_env, oracle_rollout, play, replay_trace)
 from urex.envs.base import EpisodeError
 from urex.envs.search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, OP_AVG,
                               OP_CMP, OP_DIV, OP_INC, SearchAction)
@@ -197,6 +197,50 @@ def test_binary_search_found_reward_and_limit():
     assert res.done and res.cause == STEP_LIMIT and res.reward == 0.0
 
 
+def spec_search_step(env, action):
+    """The register machine's rules written plainly, read from ``env``
+    before the step: (registers after, obs, reward, done, cause)."""
+    op, reg = action
+    regs, steps = list(env.registers), env.steps + 1
+    obs, reward, cause = CMP_NONE, 0.0, None
+    if op == OP_INC:
+        regs[reg] += 1
+    elif op == OP_DIV:
+        regs[reg] //= 2
+    elif op == OP_AVG:
+        a, b = (regs[i] for i in range(3) if i != reg)
+        regs[reg] = (a + b) // 2
+    else:
+        cell = env.array[min(max(regs[reg], 0), env.n - 1)]
+        if env.query < cell:
+            obs = CMP_LT
+        elif env.query > cell:
+            obs = CMP_GT
+        else:
+            obs, reward, cause = CMP_EQ, 10.0 * (1.0 - steps / env.step_limit), FOUND_QUERY
+    if cause is None and steps >= env.step_limit:
+        cause = STEP_LIMIT
+    return regs, obs, reward, cause is not None, cause
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=60))
+def test_search_step_follows_the_plain_rules(seed, actions):
+    env = make_env(TaskId.BINARY_SEARCH, seed, (1, 12))
+    env.reset()
+    for action in actions:
+        if env.done:
+            break
+        if action[0] > 3 or action[1] > 2:
+            with pytest.raises(ValueError, match=re.escape(f"bad search action {action!r}")):
+                env.step(action)
+            continue
+        regs, *expected = spec_search_step(env, action)
+        res = env.step(SearchAction(*action))
+        assert (env.registers, *res) == (regs, *expected)
+        assert env.done == res.done
+
+
 def test_bandit_payoffs_shape_and_range():
     from urex.envs import bandit_payoffs
 
@@ -236,6 +280,36 @@ def test_trace_dump_format():
     first = lines[0].split(", ")
     assert first[0] == "1" and first[3] == "1" and first[4] == "0"
     assert lines[-1].endswith(", 1")  # done flag on the final step
+
+
+# -- play: the one driver of scripted episodes -----------------------------------
+
+def test_play_sends_a_generator_script_each_observation():
+    env = make_env(TaskId.BINARY_SEARCH, 0)
+    env.set_latent(64, 5)
+    sent = []
+
+    def script():  # a linear search that keeps what it is sent
+        while True:
+            sent.append((yield SearchAction(OP_CMP, 2)))
+            sent.append((yield SearchAction(OP_INC, 2)))
+
+    observations, actions, results = play(env, script())
+    assert len(actions) == len(results) == 11 and results[-1].cause == FOUND_QUERY
+    assert sent == [res.obs for res in results[:-1]]  # not resumed once the episode ended
+    assert observations == [CMP_NONE, *sent]
+    assert CMP_GT in sent and CMP_NONE in sent
+
+
+def test_play_stops_when_a_list_script_runs_out():
+    env = make_env(TaskId.COPY, 3, (5, 5))
+    env.reset()
+    script = [TapeAction(MOVE_RIGHT, 1, s) for s in env.tape[:2]]
+    observations, actions, results = play(env, script)
+    assert actions == script and [res.reward for res in results] == [1.0, 1.0]
+    assert observations == [env.tape[0], env.tape[1]]
+    assert not env.done and env.steps == 2
+    assert play(env, []) == ([], [], []) and env.steps == 0  # restarted, never stepped
 
 
 # -- lockstep stepper against the scalar env ------------------------------------

@@ -243,6 +243,11 @@ def test_generalization_reports_a_perfect_probe_beyond_the_default_lengths():
     assert record.to_csv() == "length,correct,episodes\n2500,1,1\nmax,2500,\n"
 
 
+def test_generalization_refuses_a_sweep_with_no_length():
+    with pytest.raises(ValueError, match="at least one length"):
+        generalization_sweep("oracle", TaskId.COPY, lengths=())
+
+
 def test_generalization_refinement_finds_exact_cutoff():
     class LengthCappedActor:
         """Greedy actor that is perfect up to a hidden cutoff length."""
@@ -339,6 +344,31 @@ def test_cli_refuses_a_bad_config_value_as_it_refuses_the_flag(tmp_path, monkeyp
         assert exit.value.code == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] and "error:" in errors[0]
+
+
+def test_cli_refuses_a_missing_config_file(tmp_path, capsys):
+    from urex.harness.cli import main
+
+    path = tmp_path / "nope.conf"
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "--task", "Copy", "--method", "ment", "--tau", "0", "--config", str(path)])
+    assert exit.value.code == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", [["--max-len", "20"], ["--max-len", "29"], ["--config", "<file>"]])
+def test_cli_refuses_a_max_len_below_the_first_probe_length(tmp_path, capsys, given):
+    from urex.harness.cli import main
+
+    path = tmp_path / "short.conf"
+    path.write_text("max_len = 20\n")
+    given = [str(path) if arg == "<file>" else arg for arg in given]
+    with pytest.raises(SystemExit) as exit:
+        main(["generalize", "--checkpoint", "oracle", "--task", "Copy", *given,
+              "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    assert "below the first probe length 30" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_writes_under_the_config_files_out(tmp_path, monkeypatch, capsys):

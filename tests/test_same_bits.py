@@ -59,3 +59,21 @@ def test_cli_digests_cover_each_file_and_trace_of_the_command_line_runs(tmp_path
     assert digests["cli run jsonl"] == same_bits.sha(same_bits.normalise_rows(rows.read_text()))
     for output in ("files", "jsonl", "ckpt"):  # the config file gives the flags' run
         assert digests[f"cli run config {output}"] == digests[f"cli run {output}"]
+
+
+def test_search_digests_cover_both_scripts_and_both_oracle_strategies(monkeypatch):
+    from urex.envs import TaskId, make_env, scripted_binary_search
+
+    monkeypatch.setattr(same_bits, "SEARCH_EPISODES", 3)
+    digests = same_bits.search_digests()
+    assert sorted(digests) == sorted([
+        "scripted linear search episodes", "scripted binary search episodes",
+        "oracle linear search episodes", "oracle binary search episodes"])
+    episodes = []
+    for seed in same_bits.SEARCH_SEEDS:
+        env = make_env(TaskId.BINARY_SEARCH, seed)
+        for _ in range(3):
+            env.reset()
+            episodes.append(scripted_binary_search(env))
+    assert digests["scripted binary search episodes"] == same_bits.sha(repr(episodes))
+    assert len(set(digests.values())) == 4

@@ -2,8 +2,8 @@
 
     python3 tools/same_bits.py --parent ../parent --change .
 
-Everything runs at ``OPENBLAS_NUM_THREADS=1``.  Three kinds of output
-are compared:
+Everything runs at ``OPENBLAS_NUM_THREADS=1``.  These outputs are
+compared:
 
 - the digest of ``benchmarks/run.py --workload W --seed S --seconds 1
   --trace 0`` for W in desk, full, qlearn, bandit and S in 0, 1, 2;
@@ -16,6 +16,10 @@ are compared:
   runs it, and one sweep per length of ``SWEPT_LENGTHS`` on the trained
   policy of the trial ``SWEPT_TRIAL`` (a sweep stops at its first
   imperfect length, so one sweep of both would probe only the first);
+- the scripted searches: the ``(actions, rewards, observations)`` of
+  ``scripted_linear_search`` and ``scripted_binary_search``, and the
+  episodes of ``oracle_rollout`` under both strategies, each over
+  ``SEARCH_EPISODES`` reset episodes of every ``SEARCH_SEEDS`` env;
 - ``urex`` command-line runs (``CLI_RUNS``): the file names, metrics
   rows without ``wall_ms`` and checkpoint bytes of a 3-step desk ``urex
   run``, given by flags and again with its optional values in a config
@@ -50,6 +54,7 @@ TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120),
 TRIAL_SEEDS = (0, 1, 2)
 SWEPT_TRIAL, SWEPT_LENGTHS = "Copy/urex/120/seed0", (30, 100)
 ORACLE_SWEEP_LENGTHS, ORACLE_SWEEP_EPISODES = (30, 100), 5
+SEARCH_SEEDS, SEARCH_EPISODES = (0, 1), 200  # BinarySearchEnv seeds, episodes of each
 RUN_REQUIRED = ["run", "--task", "Copy", "--method", "urex", "--tau", "0.1"]
 RUN_CONFIG = "profile = desk\nsteps = 3\n"  # the file that "<config>" names in an argv
 # name -> argv of the command-line runs; each writes to --out <tmp>/<name>
@@ -120,6 +125,28 @@ class Probe:
         return sha(repr(self.episodes))
 
 
+def search_digests() -> dict:
+    """Digests of the scripted searches and of the search oracle's two
+    strategies, run with the ``urex`` on ``sys.path``."""
+    from urex.envs import (TaskId, make_env, oracle_rollout, scripted_binary_search,
+                           scripted_linear_search)
+
+    runs = {"scripted linear search": scripted_linear_search,
+            "scripted binary search": scripted_binary_search,
+            "oracle linear search": lambda env: oracle_rollout(env, "linear"),
+            "oracle binary search": lambda env: oracle_rollout(env, "binary")}
+    digests = {}
+    for name, run in runs.items():
+        episodes = []
+        for seed in SEARCH_SEEDS:
+            env = make_env(TaskId.BINARY_SEARCH, seed)
+            for _ in range(SEARCH_EPISODES):
+                env.reset()
+                episodes.append(run(env))
+        digests[f"{name} episodes"] = sha(repr(episodes))
+    return digests
+
+
 def cli_digests(tmp: Path) -> dict:
     """Digests of the ``CLI_RUNS``, run with the ``urex`` on ``sys.path``:
     the files each run writes (metrics rows without ``wall_ms``) and, for
@@ -183,6 +210,7 @@ def trial_digests() -> dict:
                         digests[f"{name} sweep {length}"] = sha(record.to_csv())
                         digests[f"{name} sweep {length} episodes"] = probe.digest()
         digests.update(cli_digests(Path(tmp)))
+    digests.update(search_digests())
     sweep = dict(lengths=ORACLE_SWEEP_LENGTHS, episodes_per_length=ORACLE_SWEEP_EPISODES)
     for task in TAPE_TASKS:
         record = generalization_sweep("oracle", task, **sweep)
