@@ -11,7 +11,7 @@ import enum
 
 from .bandit import BanditEnv, bandit_payoffs
 from .base import (COMPLETED, FOUND_QUERY, STEP_LIMIT, WRONG_EMISSION, Env,
-                   EpisodeError, RowStepper, StepResult, play, replay_trace)
+                   EpisodeError, RowStepper, StepResult, play)
 from .oracles import oracle_rollout
 from .search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, BinarySearchEnv,
                      SearchAction, action_from_index, action_index,

@@ -65,7 +65,3 @@ class BanditEnv(Env):
         self.steps += 1
         self.done = True
         return StepResult(0, float(self.payoffs[arm]), True, COMPLETED)
-
-    def action_str(self, action) -> str:
-        (arm,) = action if isinstance(action, tuple) else (action,)
-        return f"arm{arm}"

@@ -87,13 +87,6 @@ class Env:
     def _begin(self) -> int:
         raise NotImplementedError
 
-    # -- formatting ------------------------------------------------------------
-    def action_str(self, action) -> str:
-        return str(action)
-
-    def obs_str(self, obs: int) -> str:
-        return str(obs)
-
     def _require_running(self) -> None:
         if self.done:
             raise EpisodeError("step() called on a finished episode")
@@ -148,9 +141,3 @@ def play(env: Env, script):
         if res.done:
             return observations, actions, results
         obs = sent = res.obs
-
-
-def replay_trace(env: Env, actions) -> list[str]:
-    """Restart ``env`` and replay ``actions``: one ``t, obs, action, reward, done`` line a step."""
-    return [f"{t}, {env.obs_str(obs)}, {env.action_str(action)}, {res.reward:g}, {int(res.done)}"
-            for t, (obs, action, res) in enumerate(zip(*play(env, actions)), start=1)]

@@ -16,11 +16,9 @@ from typing import NamedTuple
 from .base import FOUND_QUERY, STEP_LIMIT, Env, StepResult, play
 
 OP_INC, OP_DIV, OP_AVG, OP_CMP = 0, 1, 2, 3
-_OP_NAMES = ("INC", "DIV", "AVG", "CMP")
 
 # observation encoding
 CMP_NONE, CMP_LT, CMP_GT, CMP_EQ = 0, 1, 2, 3
-_OBS_SYMBOLS = ("-", "<", ">", "=")
 
 
 class SearchAction(NamedTuple):
@@ -107,13 +105,6 @@ class BinarySearchEnv(Env):
             self.done = True
             return StepResult(obs, 0.0, True, STEP_LIMIT)
         return StepResult(obs, 0.0, False, None)
-
-    def action_str(self, action) -> str:
-        op, reg = action
-        return f"{_OP_NAMES[op]}({reg})"
-
-    def obs_str(self, obs: int) -> str:
-        return _OBS_SYMBOLS[obs]
 
 
 def _linear_script(env: BinarySearchEnv):

@@ -18,7 +18,6 @@ from .base import (COMPLETED, STEP_LIMIT, WRONG_EMISSION, Env, EpisodeError,
                    RowStepper, StepResult)
 
 MOVE_LEFT, MOVE_RIGHT, MOVE_UP, MOVE_DOWN = 0, 1, 2, 3
-_MOVE_NAMES = ("left", "right", "up", "down")
 _ROW_STEP = (0, 0, -1, 1)  # indexed by move
 _COL_STEP = (-1, 1, 0, 0)
 
@@ -136,15 +135,6 @@ class TapeEnv(Env):
         self.row += _ROW_STEP[move]
         self.col += _COL_STEP[move]
         return StepResult(self._observe(), reward, self.done, cause)
-
-    # -- formatting ------------------------------------------------------------
-    def action_str(self, action) -> str:
-        move, write, symbol = action
-        out = str(symbol) if write else "."
-        return f"{_MOVE_NAMES[move]},{'w' if write else '-'},{out}"
-
-    def obs_str(self, obs: int) -> str:
-        return "_" if obs == self.blank else str(obs)
 
 
 class CopyEnv(TapeEnv):

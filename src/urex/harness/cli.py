@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from ..envs import TaskId, make_env
-from ..policy import load_policy, save_policy
+from ..policy import RecurrentPolicy, load_policy, save_policy
 from .bandit_exp import BanditExperimentConfig, run_bandit_experiment
 from .generalize import PROBE_LENGTHS, generalization_sweep
 from .grid import run_grid
@@ -51,6 +52,19 @@ def _probe_lengths(max_len) -> list[int]:
     return lengths
 
 
+def _load_fitting(path, task):
+    """The checkpoint at ``path``, if its net reads ``task``'s observations and
+    acts through the task's heads or through one joint head of their product."""
+    policy, env = load_policy(path), make_env(task, 0)
+    sizes = tuple(size for _, size in env.action_heads)
+    spaces = [(env.num_observations, sizes), (env.num_observations, (math.prod(sizes),))]
+    net = (policy.obs_dim, policy.head_sizes) if isinstance(policy, RecurrentPolicy) else "linear"
+    if net not in spaces:
+        raise argparse.ArgumentTypeError(
+            f"checkpoint {path} is {net}, not {task.value}'s (observations, heads) {spaces[0]}")
+    return policy
+
+
 def _given(args, *names) -> dict:
     """Library keywords for the named values that were given; a value
     given neither as a flag nor in the file keeps the library's default."""
@@ -80,8 +94,8 @@ def cmd_grid(args):
 
 
 def cmd_generalize(args):
-    policy = "oracle" if args.checkpoint == "oracle" else load_policy(args.checkpoint)
     task = TaskId.parse(args.task)
+    policy = "oracle" if args.checkpoint == "oracle" else _load_fitting(args.checkpoint, task)
     sweep = _given(args, "lengths", "episodes_per_length", "seed")
     record = generalization_sweep(policy, task, **sweep)
     os.makedirs(args.out, exist_ok=True)
@@ -106,8 +120,8 @@ def cmd_bandit(args):
 
 def cmd_trace(args):
     env = make_env(TaskId.parse(args.task), args.seed)
+    actor = _load_fitting(args.checkpoint, env.task) if args.checkpoint else "oracle"
     env.reset()
-    actor = load_policy(args.checkpoint) if args.checkpoint else "oracle"
     print(render_trace(env, actor, **_given(args, "strategy")))
 
 
@@ -170,7 +184,10 @@ def main(argv=None):
     pre.add_argument("--config", type=_config_flags, default=[])
     argv[1:1] = pre.parse_known_args(argv)[0].config
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except argparse.ArgumentTypeError as err:  # values that do not fit each other
+        sub.choices[args.command].error(str(err))
 
 
 if __name__ == "__main__":

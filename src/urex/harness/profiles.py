@@ -35,8 +35,6 @@ GROUPS_PER_BATCH[TaskId.COPY] = 20
 ETAS = (0.1, 0.01, 0.001)
 CLIPS = (1.0, 10.0, 40.0, 100.0)
 RESTARTS = 5
-MENT_TAUS = (0.0, 0.005, 0.01, 0.1)
-UREX_TAUS = (0.1,)
 EVAL_EVERY, EVAL_EPISODES = 50, 100  # greedy evaluation: how often, how many episodes
 
 

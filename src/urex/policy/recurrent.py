@@ -44,15 +44,9 @@ class _StepCache:
     h: np.ndarray
     logits: np.ndarray  # (n_alive, total head size): the heads side by side
     head_probs: np.ndarray  # (n_alive, total head size)
-    head_sizes: tuple
     actions: np.ndarray  # (n_alive, n_heads) ints
     idx: np.ndarray  # alive row indices into the full batch
     kept: np.ndarray  # positions in ``idx`` of the rows that run the next step
-
-    @property
-    def probs(self) -> list:
-        """Per-head views of ``head_probs``."""
-        return np.split(self.head_probs, np.cumsum(self.head_sizes)[:-1], axis=1)
 
 
 @dataclass
@@ -246,7 +240,7 @@ class RecurrentPolicy:
                 else:
                     head_probs = probs.T.reshape(W * K, n).take(entries, axis=0).T.copy()
                 cache.steps.append(_StepCache(x, h, c, gates, g, tanh_c, h_new, z, head_probs,
-                                              self.head_sizes, actions, idx, kept))
+                                              actions, idx, kept))
             h, c, idx = h_new.take(kept, axis=0), c_new.take(kept, axis=0), idx.take(kept)
             cols = np.concatenate((obs[:, None], actions.take(kept, axis=0) + self._input_offsets),
                                   axis=1)

@@ -59,11 +59,6 @@ class DoubleQLearner:
         self.rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed).spawn(1)[0]))
         self.updates = 0
 
-    def q_values(self, trajectory) -> np.ndarray:
-        """Online-net Q-values along a fixed episode, shape (T, A)."""
-        _, cache = self.online.replay([trajectory], collect=True)
-        return _episode_logits(cache)
-
     def train_step(self, env) -> dict:
         """Collect one epsilon-greedy episode from ``env`` and fit its targets."""
         env.reset()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import urex.envs as envs_module
 from urex.envs import (COMPLETED, FOUND_QUERY, STEP_LIMIT, WRONG_EMISSION, BanditEnv, Env,
                        RowStepper, TapeEnv, TapeLockstep, TaskId, draw_latents, lockstep,
-                       make_env, oracle_rollout, play, replay_trace)
+                       make_env, oracle_rollout, play)
 from urex.envs.base import EpisodeError
 from urex.envs.search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, OP_AVG,
                               OP_CMP, OP_DIV, OP_INC, SearchAction)
@@ -275,11 +275,12 @@ def test_trace_dump_format():
     env = make_env(TaskId.COPY, 41, (3, 3))
     env.reset()
     traj = oracle_rollout(env)
-    lines = replay_trace(env, [env.decode_action(a) for a in traj.actions])
-    assert len(lines) == len(traj.actions)
-    first = lines[0].split(", ")
-    assert first[0] == "1" and first[3] == "1" and first[4] == "0"
-    assert lines[-1].endswith(", 1")  # done flag on the final step
+    actions = [env.decode_action(a) for a in traj.actions]
+    observations, played, results = play(env, actions)
+    assert played == actions and observations == traj.observations
+    assert [res.reward for res in results] == traj.rewards and results[0].reward == 1
+    # done flag on the final step only
+    assert [res.done for res in results] == [False] * (len(actions) - 1) + [True]
 
 
 # -- play: the one driver of scripted episodes -----------------------------------

@@ -187,7 +187,12 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_cache_matches(cache, steps, B):
+def split_heads(pol, step):
+    """A cached step's ``head_probs`` as one array per head of ``pol``."""
+    return np.split(step.head_probs, np.cumsum(pol.head_sizes)[:-1], axis=1)
+
+
+def assert_cache_matches(pol, cache, steps, B):
     """The compact cache holds the specification's per-step arrays, and
     every cached array is C-contiguous."""
     assert cache.batch_size == B and len(cache.steps) == len(steps)
@@ -198,8 +203,9 @@ def assert_cache_matches(cache, steps, B):
         for name in ("idx", "x", "h_prev", "c_prev", "gates", "g", "tanh_c", "h", "actions"):
             assert same_bits(getattr(st, name), np.ascontiguousarray(spec[name])), f"{t}: {name}"
         assert same_bits(st.logits, np.concatenate(spec["logits"], axis=1)), f"step {t}"
-        for k, probs in enumerate(spec["probs"]):
-            assert same_bits(np.ascontiguousarray(st.probs[k]), probs), f"step {t}: head {k}"
+        for k, (probs, spec_probs) in enumerate(zip(split_heads(pol, st), spec["probs"],
+                                                    strict=True)):
+            assert same_bits(np.ascontiguousarray(probs), spec_probs), f"step {t}: head {k}"
         following = steps[t + 1]["idx"] if t + 1 < len(steps) else np.array([], dtype=np.int64)
         assert np.array_equal(st.idx[st.kept], following), f"step {t}: kept rows"
 
@@ -257,7 +263,7 @@ def check_against_specification(envs, hidden_size, mode):
         assert traj.cause == cause and traj.env_seed == env.seed
         assert traj.total_reward == float(sum(rewards))
         assert traj.max_total_reward == env.max_total_reward()
-    assert_cache_matches(cache, steps, B)
+    assert_cache_matches(pol, cache, steps, B)
     coeffs = np.linspace(-1.0, 1.5, B)
     coeffs[3:6] = 0.0  # a group whose rewards tie
     assert same_bits(pol.grad_weighted_logprob(cache, coeffs),
@@ -266,7 +272,7 @@ def check_against_specification(envs, hidden_size, mode):
     replayed, replay_cache = pol.replay(batch, collect=True)
     spec_logp, spec_steps = spec_replay(pol, batch)
     assert same_bits(replayed, spec_logp)
-    assert_cache_matches(replay_cache, spec_steps, B)
+    assert_cache_matches(pol, replay_cache, spec_steps, B)
     assert same_bits(pol.grad_weighted_logprob(replay_cache, coeffs),
                      spec_backward(pol, spec_steps, B, coeffs))
     return batch, cell_rows

@@ -9,13 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urex.envs import BanditEnv, TaskId, make_env
+from urex.envs import FOUND_QUERY, BanditEnv, TaskId, make_env
 from urex.harness import (BanditExperimentConfig, GridResult, TrialSpec,
                           evaluate_greedy, generalization_sweep, make_spec,
                           render_trace, run_bandit_experiment, run_grid,
                           run_trial, train_bandit_policy)
 from urex.harness import blas, grid
 from urex.harness.trace import collect_actions
+from urex.policy import LinearBanditPolicy, load_policy, policy_for_env, save_policy
+from urex.trainers import DoubleQLearner, QConfig
 
 
 def tiny_spec(**kw):
@@ -228,6 +230,66 @@ def test_trace_replay_rewards_reproducible():
     assert r1 == r2
 
 
+# How a trace spells actions and observations, written out for the
+# policy-actor traces below.
+def tape_text(action):
+    move, write, symbol = action
+    written = f"w,{symbol}" if write else "-,."
+    return f"{('left', 'right', 'up', 'down')[move]},{written}"
+
+
+def search_text(action):
+    op, reg = action
+    return f"{('INC', 'DIV', 'AVG', 'CMP')[op]}({reg})"
+
+
+def small_policy(env, seed):
+    policy = policy_for_env(env, hidden_size=8)
+    policy.init_params(np.random.Generator(np.random.PCG64(seed)))
+    return policy
+
+
+def greedy_episode_of(env, actor):
+    trajs, _ = actor.rollout([env], greedy=True)
+    traj = trajs[0]
+    return traj, [env.decode_action(a) for a in traj.actions]
+
+
+# the policy only moves; the Q-nets write, then hit the step limit (8) or
+# emit a wrong symbol (14)
+@pytest.mark.parametrize("actor, seed", [("policy", 34), ("qlearn", 8), ("qlearn", 14)])
+def test_tape_trace_of_a_policy_prints_its_greedy_episode(actor, seed):
+    env = make_env(TaskId.COPY, 7, (4, 4))
+    env.reset()
+    if actor == "policy":
+        net = small_policy(env, seed)
+    else:  # the Q-learner's online net: one joint head over (move, write, symbol)
+        net = DoubleQLearner(env, QConfig(hidden_size=8, seed=seed)).online
+        assert net.head_sizes == (2 * 2 * 5,)
+    traj, actions = greedy_episode_of(env, net)
+    rows = [line.split() for line in render_trace(env, net).splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(t) for t in range(1, len(actions) + 1)]
+    cells = ["_" if obs == env.blank else str(obs) for obs in traj.observations]
+    assert [row[2] for row in rows] == cells
+    assert [row[3] for row in rows] == [tape_text(a) for a in actions]
+    assert [row[4] for row in rows] == [f"{r:.1f}" for r in traj.rewards]
+
+
+# a step-limit episode that compares, and one that finds the query
+@pytest.mark.parametrize("env_seed, seed", [(4, 39), (5, 46)])
+def test_search_trace_of_a_policy_prints_its_greedy_episode(env_seed, seed):
+    env = make_env(TaskId.BINARY_SEARCH, env_seed, (32, 32))
+    env.reset()
+    policy = small_policy(env, seed)
+    traj, actions = greedy_episode_of(env, policy)
+    *rows, last = [line.split() for line in render_trace(env, policy).splitlines()[1:]]
+    assert len(rows) == len(actions)
+    assert [row[3] for row in rows] == ["-<>="[o] for o in traj.observations]
+    assert [row[4] for row in rows] == [search_text(a) for a in actions]
+    assert last[-1] == "--" and last[:3] == [str(r) for r in env.registers]
+    assert (last[3] == "=") == (traj.cause == FOUND_QUERY)
+
+
 def test_generalization_oracle_perfect_everywhere():
     record = generalization_sweep("oracle", TaskId.COPY,
                                   lengths=(30, 100, 500, 1000, 2000),
@@ -369,6 +431,65 @@ def test_cli_refuses_a_max_len_below_the_first_probe_length(tmp_path, capsys, gi
     assert exit.value.code == 2
     assert "below the first probe length 30" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def small_checkpoint(tmp_path, kind):
+    """A freshly initialised net saved as ``<kind>.ckpt``: a recurrent policy
+    for a task, the Copy Q-learner's online net ("qlearn") or a bandit
+    policy ("linear")."""
+    if kind == "linear":
+        net = LinearBanditPolicy(30)
+    elif kind == "qlearn":
+        net = DoubleQLearner(make_env(TaskId.COPY, 0), QConfig(hidden_size=8)).online
+    else:
+        net = small_policy(make_env(TaskId.parse(kind), 0), 0)
+    path = tmp_path / f"{kind}.ckpt"
+    save_policy(path, net)
+    return str(path)
+
+
+SWEEP = ["--max-len", "30", "--episodes", "3"]
+
+
+@pytest.mark.parametrize("command, kind, task, spaces", [
+    (["generalize", *SWEEP], "Copy", "ReversedAddition", ["(6, (2, 2, 5))", "(4, (4, 2, 3))"]),
+    (["trace"], "Copy", "BinarySearch", ["(6, (2, 2, 5))", "(4, (12,))"]),
+    (["trace"], "BinarySearch", "Copy", ["(4, (12,))", "(6, (2, 2, 5))"]),
+    (["generalize", *SWEEP], "BinarySearch", "Copy", ["(4, (12,))", "(6, (2, 2, 5))"]),
+    (["trace"], "linear", "Copy", ["linear", "(6, (2, 2, 5))"]),
+    (["generalize", *SWEEP], "qlearn", "ReversedAddition", ["(6, (20,))", "(4, (4, 2, 3))"]),
+], ids=["generalize-Copy-on-ReversedAddition", "trace-Copy-on-BinarySearch",
+        "trace-BinarySearch-on-Copy", "generalize-BinarySearch-on-Copy", "trace-linear-on-Copy",
+        "generalize-qlearn-on-ReversedAddition"])
+def test_cli_refuses_a_checkpoint_that_does_not_fit_the_task(tmp_path, capsys, command, kind,
+                                                             task, spaces):
+    from urex.harness.cli import main
+
+    path = small_checkpoint(tmp_path, kind)
+    with pytest.raises(SystemExit) as exit:
+        main([command[0], "--checkpoint", path, "--task", task, *command[1:],
+              "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    net, wanted = spaces
+    assert (f"urex {command[0]}: error: checkpoint {path} is {net}, "
+            f"not {task}'s (observations, heads) {wanted}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["Copy", "qlearn"])
+def test_cli_traces_and_sweeps_a_checkpoint_on_a_task_of_its_spaces(tmp_path, capsys, kind):
+    from urex.harness.cli import main
+
+    path = small_checkpoint(tmp_path, kind)
+    for task in ("Copy", "Reverse"):
+        main(["trace", "--checkpoint", path, "--task", task, "--seed", "2"])
+        env = make_env(TaskId.parse(task), 2)
+        env.reset()
+        assert capsys.readouterr().out == render_trace(env, load_policy(path)) + "\n"
+        main(["generalize", "--checkpoint", path, "--task", task, *SWEEP, "--out", str(tmp_path)])
+        sweep = generalization_sweep(load_policy(path), TaskId.parse(task), lengths=[30],
+                                     episodes_per_length=3)
+        assert capsys.readouterr().out == sweep.to_csv() + "\n"
 
 
 def test_cli_run_writes_under_the_config_files_out(tmp_path, monkeypatch, capsys):

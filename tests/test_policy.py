@@ -16,6 +16,7 @@ from urex.policy import (LinearBanditPolicy, RecurrentPolicy, load_policy,
 from urex.trainers import DoubleQLearner, QConfig
 
 from joint_action import JointActionView
+from test_forward_spec import split_heads
 
 
 def make_copy_policy(hidden=8, seed=0, length=4):
@@ -310,7 +311,7 @@ def test_log_prob_additivity_small_case():
         if t >= len(traj.actions):
             break
         for k in range(len(pol.heads)):
-            total += math.log(step.probs[k][0, traj.actions[t][k]])
+            total += math.log(split_heads(pol, step)[k][0, traj.actions[t][k]])
     assert total == pytest.approx(float(logp[0]), abs=1e-9)
 
 
@@ -361,7 +362,7 @@ def test_recurrent_sampling_chi_square():
     n = 20_000
     envs = [env.clone() for _ in range(n)]
     trajs, cache = pol.rollout(envs, rng=rng, collect=True)
-    probs = cache.steps[0].probs[2][0]
+    probs = split_heads(pol, cache.steps[0])[2][0]
     counts = np.bincount([t.actions[0][2] for t in trajs], minlength=probs.size)
     chi2 = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
     # chi-square with 4 dof: p > 0.001 means chi2 below 18.47

@@ -49,16 +49,30 @@ def test_probe_digests_every_episode_a_sweep_decodes():
 
 
 def test_cli_digests_cover_each_file_and_trace_of_the_command_line_runs(tmp_path):
+    from urex.envs import TaskId, make_env
+    from urex.harness import render_trace
+    from urex.policy import load_policy
+
     digests = same_bits.cli_digests(tmp_path)
     assert sorted(digests) == sorted([
         "cli run files", "cli run jsonl", "cli run ckpt", "cli run config files",
         "cli run config jsonl", "cli run config ckpt", "cli bandit files", "cli bandit csv",
+        "cli run qlearn files", "cli run qlearn jsonl", "cli run qlearn ckpt",
         "cli generalize files", "cli generalize csv", "cli trace BinarySearch text",
-        "cli trace ReversedAddition text"])
+        "cli trace ReversedAddition text", "cli trace run checkpoint Copy text",
+        "cli trace run checkpoint Reverse text", "cli trace run qlearn checkpoint Copy text"])
     (rows,) = (tmp_path / "run").glob("*.jsonl")
     assert digests["cli run jsonl"] == same_bits.sha(same_bits.normalise_rows(rows.read_text()))
     for output in ("files", "jsonl", "ckpt"):  # the config file gives the flags' run
         assert digests[f"cli run config {output}"] == digests[f"cli run {output}"]
+    for run, task, seed in [("run", "Copy", 0), ("run", "Reverse", 3), ("run qlearn", "Copy", 0)]:
+        (checkpoint,) = (tmp_path / run.replace(" ", "_")).glob("*.ckpt")
+        env = make_env(TaskId.parse(task), seed)
+        env.reset()
+        text = render_trace(env, load_policy(checkpoint)) + "\n"
+        assert digests[f"cli trace {run} checkpoint {task} text"] == same_bits.sha(text)
+    assert len(set(digests.values())) == len(digests) - 3  # the config run repeats the flags'
+
 
 
 def test_search_digests_cover_both_scripts_and_both_oracle_strategies(monkeypatch):

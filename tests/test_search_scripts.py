@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from urex.envs import TaskId, make_env, oracle_rollout
+from urex.envs import TaskId, make_env, oracle_rollout, play
 from urex.envs.search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, OP_AVG,
                               OP_CMP, OP_DIV, OP_INC, SearchAction,
                               scripted_binary_search, scripted_linear_search)
@@ -99,16 +99,14 @@ def test_scripted_searches_always_succeed():
 
 
 def test_golden_episode_dump_lines():
-    from urex.envs import replay_trace
-
     env = make_env(TaskId.BINARY_SEARCH, 0)
     env.set_latent(512, 100)
-    lines = replay_trace(env, [row[2] for row in GOLDEN_ROWS])
-    assert lines[0] == "1, -, AVG(2), 0, 0"
-    assert lines[1] == "2, -, CMP(2), 0, 0"
-    assert lines[2] == "3, <, DIV(0), 0, 0"
-    assert lines[8] == "9, >, AVG(1), 0, 0"
-    assert lines[-1] == "32, -, CMP(2), 9.6878, 1"
+    observations, actions, results = play(env, [row[2] for row in GOLDEN_ROWS])
+    assert observations == [row[1] for row in GOLDEN_ROWS]
+    assert actions == [row[2] for row in GOLDEN_ROWS]
+    assert results[-1].obs == GOLDEN_FINAL[1]
+    assert [res.reward for res in results] == [0.0] * 31 + [10 * (1 - 32 / 1025)]
+    assert [res.done for res in results] == [False] * 31 + [True]
 
 
 def test_scripted_search_mean_rewards_small_sample():

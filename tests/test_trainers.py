@@ -147,10 +147,16 @@ def test_train_config_validation():
         TrainConfig(method="ment", tau=0.1, learning_rate=0.1, clip_norm=1.0, k=1)
 
 
+def online_q_values(learner, trajectory):
+    """The online net's Q-values along a fixed episode: its replayed logits, (T, A)."""
+    _, cache = learner.online.replay([trajectory], collect=True)
+    return np.concatenate([st.logits for st in cache.steps])
+
+
 def chain_q_values(learner):
     probe = Trajectory(observations=[0, 1], actions=[(1,), (0,)],
                        rewards=[0.0, 2.0], total_reward=2.0)
-    return learner.q_values(probe)
+    return online_q_values(learner, probe)
 
 
 def test_q_learning_matches_value_iteration():
@@ -175,7 +181,7 @@ def test_q_terminal_target_is_reward():
     for _ in range(400):
         learner.train_step(env)
     traj = Trajectory(observations=[0], actions=[(0,)], rewards=[1.0], total_reward=1.0)
-    q = learner.q_values(traj)[0]
+    q = online_q_values(learner, traj)[0]
     # terminal one-step targets regress Q toward the raw payoffs
     assert abs(q[0] - 1.0) < 0.05 and abs(q[1] - 0.0) < 0.05
 

@@ -23,9 +23,11 @@ compared:
 - ``urex`` command-line runs (``CLI_RUNS``): the file names, metrics
   rows without ``wall_ms`` and checkpoint bytes of a 3-step desk ``urex
   run``, given by flags and again with its optional values in a config
-  file (``RUN_CONFIG``), the CSVs of a small ``urex bandit`` and of
-  ``urex generalize --checkpoint oracle``, and the text of ``urex
-  trace`` on BinarySearch and ReversedAddition.
+  file (``RUN_CONFIG``), and of a 3-step desk Copy ``--method qlearn``
+  run, the CSVs of a small ``urex bandit`` and of ``urex generalize
+  --checkpoint oracle``, and the text of ``urex trace``: the oracle's
+  on BinarySearch and ReversedAddition, the urex run's checkpoint on
+  Copy and on Reverse (seed 3), and the qlearn run's checkpoint on Copy.
 
 The trials run in a child process per checkout that imports ``urex``
 from that checkout's ``src/``.  Exits 1 if any digest differs or is
@@ -57,16 +59,25 @@ ORACLE_SWEEP_LENGTHS, ORACLE_SWEEP_EPISODES = (30, 100), 5
 SEARCH_SEEDS, SEARCH_EPISODES = (0, 1), 200  # BinarySearchEnv seeds, episodes of each
 RUN_REQUIRED = ["run", "--task", "Copy", "--method", "urex", "--tau", "0.1"]
 RUN_CONFIG = "profile = desk\nsteps = 3\n"  # the file that "<config>" names in an argv
-# name -> argv of the command-line runs; each writes to --out <tmp>/<name>
+# name -> argv of the command-line runs; each writes to --out <tmp>/<name>.
+# Any other "<name>" in an argv is the checkpoint that the earlier run of that name wrote.
 CLI_RUNS = {
     "run": [*RUN_REQUIRED, "--profile", "desk", "--steps", "3"],
     "run config": [*RUN_REQUIRED, "--config", "<config>"],
+    "run qlearn": ["run", "--task", "Copy", "--method", "qlearn", "--tau", "0", "--profile",
+                   "desk", "--steps", "3"],
     "bandit": ["bandit", "--actions", "50", "--dim", "5", "--beta", "2", "--repeats", "2",
                "--restarts", "2", "--steps", "25"],
     "generalize": ["generalize", "--checkpoint", "oracle", "--task", "Reverse",
                    "--max-len", "100", "--episodes", "5"],
     "trace BinarySearch": ["trace", "--task", "BinarySearch", "--seed", "3"],
     "trace ReversedAddition": ["trace", "--task", "ReversedAddition", "--seed", "3"],
+    "trace run checkpoint Copy": ["trace", "--task", "Copy", "--checkpoint", "<run>"],
+    # seed 3: at seed 0 Reverse holds Copy's tape, and the trace prints no target
+    "trace run checkpoint Reverse": ["trace", "--task", "Reverse", "--seed", "3",
+                                     "--checkpoint", "<run>"],
+    "trace run qlearn checkpoint Copy": ["trace", "--task", "Copy", "--checkpoint",
+                                         "<run qlearn>"],
 }
 
 
@@ -158,13 +169,21 @@ def cli_digests(tmp: Path) -> dict:
 
     config = tmp / "run.conf"
     config.write_text(RUN_CONFIG)
+
+    def given(arg):
+        if arg == "<config>":
+            return str(config)
+        if arg.startswith("<"):
+            (checkpoint,) = (tmp / arg[1:-1].replace(" ", "_")).glob("*.ckpt")
+            return str(checkpoint)
+        return arg
+
     digests = {}
     for name, argv in CLI_RUNS.items():
         out_dir = tmp / name.replace(" ", "_")
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
-            main([*(str(config) if arg == "<config>" else arg for arg in argv),
-                  "--out", str(out_dir)])
+            main([*map(given, argv), "--out", str(out_dir)])
         if name.startswith("trace"):
             digests[f"cli {name} text"] = sha(printed.getvalue())
             continue
