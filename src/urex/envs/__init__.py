@@ -28,14 +28,6 @@ class TaskId(enum.Enum):
     REVERSE = "Reverse"
     REVERSED_ADDITION = "ReversedAddition"
     BINARY_SEARCH = "BinarySearch"
-    BANDIT = "Bandit"
-
-    @classmethod
-    def parse(cls, name: str) -> "TaskId":
-        for task in cls:
-            if task.value.lower() == name.lower() or task.name.lower() == name.lower():
-                return task
-        raise ValueError(f"unknown task {name!r}")
 
 
 # Required average total reward over 100 evaluation episodes.  The tape
@@ -74,8 +66,6 @@ def make_env(task: TaskId, seed: int, length_range=None) -> Env:
         env = _TAPE_CLASSES[task](seed, length_range or TRAIN_LENGTH_RANGE)
     elif task is TaskId.BINARY_SEARCH:
         env = BinarySearchEnv(seed, length_range or SEARCH_N_RANGE)
-    elif task is TaskId.BANDIT:
-        env = BanditEnv(seed)
     else:
         raise ValueError(f"unknown task {task!r}")
     env.task = task

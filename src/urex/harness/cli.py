@@ -8,7 +8,7 @@ import math
 import os
 import sys
 
-from ..envs import TaskId, make_env
+from ..envs import TAPE_TASKS, TaskId, make_env
 from ..policy import RecurrentPolicy, load_policy, save_policy
 from .bandit_exp import BanditExperimentConfig, run_bandit_experiment
 from .generalize import PROBE_LENGTHS, generalization_sweep
@@ -44,6 +44,15 @@ def _config_flags(path) -> list[str]:
     return flags
 
 
+def _task(name, tasks=tuple(TaskId)) -> TaskId:
+    """``--task``: the task of ``tasks`` named by its value or member name, in any case."""
+    for task in tasks:
+        if name.lower() in (task.value.lower(), task.name.lower()):
+            return task
+    raise argparse.ArgumentTypeError(
+        f"invalid choice: {name!r} (choose from {', '.join(t.value for t in tasks)})")
+
+
 def _probe_lengths(max_len) -> list[int]:
     """``--max-len``: the probe lengths up to it, of which there must be one."""
     lengths = [n for n in PROBE_LENGTHS if n <= int(max_len)]
@@ -55,7 +64,11 @@ def _probe_lengths(max_len) -> list[int]:
 def _load_fitting(path, task):
     """The checkpoint at ``path``, if its net reads ``task``'s observations and
     acts through the task's heads or through one joint head of their product."""
-    policy, env = load_policy(path), make_env(task, 0)
+    try:
+        policy = load_policy(path)
+    except (OSError, ValueError) as err:  # missing, a directory, or not a checkpoint
+        raise argparse.ArgumentTypeError(f"cannot load checkpoint: {err}") from err
+    env = make_env(task, 0)
     sizes = tuple(size for _, size in env.action_heads)
     spaces = [(env.num_observations, sizes), (env.num_observations, (math.prod(sizes),))]
     net = (policy.obs_dim, policy.head_sizes) if isinstance(policy, RecurrentPolicy) else "linear"
@@ -73,7 +86,7 @@ def _given(args, *names) -> dict:
 
 def cmd_run(args):
     args.max_steps = args.max_steps or None  # a zero budget means the profile's
-    spec = make_spec(TaskId.parse(args.task), args.method, args.tau, **_given(
+    spec = make_spec(args.task, args.method, args.tau, **_given(
         args, "eta", "clip", "restart_seed", "max_steps", "profile"))
     os.makedirs(args.out, exist_ok=True)
     stem = spec.stem()
@@ -83,10 +96,9 @@ def cmd_run(args):
 
 
 def cmd_grid(args):
-    task = TaskId.parse(args.task)
     os.makedirs(args.out, exist_ok=True)
-    stem = f"grid_{task.value}_{args.method}_tau{args.tau}_{args.profile}"
-    result = run_grid(task, args.method, args.tau, profile=args.profile,
+    stem = f"grid_{args.task.value}_{args.method}_tau{args.tau}_{args.profile}"
+    result = run_grid(args.task, args.method, args.tau, profile=args.profile,
                       manifest_path=os.path.join(args.out, f"{stem}.jsonl"))
     with open(os.path.join(args.out, f"{stem}.csv"), "w") as fh:
         fh.write(result.to_csv())
@@ -94,12 +106,11 @@ def cmd_grid(args):
 
 
 def cmd_generalize(args):
-    task = TaskId.parse(args.task)
-    policy = "oracle" if args.checkpoint == "oracle" else _load_fitting(args.checkpoint, task)
+    policy = "oracle" if args.checkpoint == "oracle" else _load_fitting(args.checkpoint, args.task)
     sweep = _given(args, "lengths", "episodes_per_length", "seed")
-    record = generalization_sweep(policy, task, **sweep)
+    record = generalization_sweep(policy, args.task, **sweep)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, f"generalize_{task.value}.csv"), "w") as fh:
+    with open(os.path.join(args.out, f"generalize_{args.task.value}.csv"), "w") as fh:
         fh.write(record.to_csv())
     print(record.to_csv())
 
@@ -119,8 +130,8 @@ def cmd_bandit(args):
 
 
 def cmd_trace(args):
-    env = make_env(TaskId.parse(args.task), args.seed)
-    actor = _load_fitting(args.checkpoint, env.task) if args.checkpoint else "oracle"
+    env = make_env(args.task, args.seed)
+    actor = _load_fitting(args.checkpoint, args.task) if args.checkpoint else "oracle"
     env.reset()
     print(render_trace(env, actor, **_given(args, "strategy")))
 
@@ -130,7 +141,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="train one trial")
-    p.add_argument("--task", required=True)
+    p.add_argument("--task", type=_task, required=True)
     p.add_argument("--method", choices=["ment", "urex", "qlearn"], required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--eta", type=float)
@@ -142,7 +153,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("grid", help="eta x clip x restart robustness grid")
-    p.add_argument("--task", required=True)
+    p.add_argument("--task", type=_task, required=True)
     p.add_argument("--method", choices=["ment", "urex", "qlearn"], required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--profile", choices=sorted(PROFILES), default=DEFAULT_PROFILE)
@@ -151,7 +162,7 @@ def main(argv=None):
 
     p = sub.add_parser("generalize", help="length-generalization sweep")
     p.add_argument("--checkpoint", required=True, help="policy checkpoint, or 'oracle'")
-    p.add_argument("--task", required=True)
+    p.add_argument("--task", type=lambda name: _task(name, TAPE_TASKS), required=True)
     p.add_argument("--max-len", type=_probe_lengths, dest="lengths", metavar="MAX_LEN")
     p.add_argument("--episodes", type=int, dest="episodes_per_length")
     p.add_argument("--seed", type=int)
@@ -170,7 +181,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_bandit)
 
     p = sub.add_parser("trace", help="print one episode trace")
-    p.add_argument("--task", required=True)
+    p.add_argument("--task", type=_task, required=True)
     p.add_argument("--seed", type=int, default=0, help="episode seed (default 0)")
     p.add_argument("--checkpoint")
     p.add_argument("--strategy", choices=["linear", "binary"])

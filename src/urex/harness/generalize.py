@@ -32,9 +32,9 @@ def _count_correct(policy, task, length, episodes, seed_rng):
     envs = draw_latents(task, seeds, [(length, length)] * episodes)
     if policy == "oracle":
         trajs = [oracle_rollout(env) for env in envs]
-    else:
-        trajs, _ = policy.rollout(envs, greedy=True)
-    return int(sum(t.total_reward >= t.max_total_reward for t in trajs))
+        return int(sum(t.total_reward >= t.max_total_reward for t in trajs))
+    batch, _ = policy.rollout(envs, greedy=True)
+    return int((batch.totals >= batch.max_rewards).sum())
 
 
 def generalization_sweep(policy, task: TaskId, lengths=PROBE_LENGTHS,

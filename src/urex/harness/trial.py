@@ -91,8 +91,7 @@ def env_factory_for(spec: TrialSpec):
         return _TapeFactory(spec.task, spec.length_cap)
     if spec.task is TaskId.BINARY_SEARCH:
         return _SearchFactory()
-    raise ValueError(f"run_trial does not handle task {spec.task}; "
-                     "use run_bandit_experiment for the bandit")
+    raise ValueError(f"run_trial does not handle task {spec.task}")
 
 
 def evaluate_greedy(policy, spec: TrialSpec, eval_rng):

@@ -215,7 +215,7 @@ def make_envs(kind):
     a list of envs, stepped row by row, or for "-latents" kinds drawn
     latents, stepped on arrays."""
     name, _, form = kind.partition("-")
-    task = TaskId.parse(name)
+    task = TaskId(name)
     if form == "latents":
         return draw_latents(task, list(range(4)), [(2, 6)] * 4).repeat(3)
     length_range = (6, 12) if task is TaskId.BINARY_SEARCH else (2, 6)

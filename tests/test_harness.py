@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from urex.envs import FOUND_QUERY, BanditEnv, TaskId, make_env
-from urex.harness import (BanditExperimentConfig, GridResult, TrialSpec,
-                          evaluate_greedy, generalization_sweep, make_spec,
-                          render_trace, run_bandit_experiment, run_grid,
+from urex.harness import (CLIPS, ETAS, RESTARTS, BanditExperimentConfig, GridResult,
+                          TrialResult, TrialSpec, evaluate_greedy, generalization_sweep,
+                          make_spec, render_trace, run_bandit_experiment, run_grid,
                           run_trial, train_bandit_policy)
-from urex.harness import blas, grid
+from urex.harness import blas, grid, trial
 from urex.harness.trace import collect_actions
 from urex.policy import LinearBanditPolicy, load_policy, policy_for_env, save_policy
-from urex.trainers import DoubleQLearner, QConfig
+from urex.trainers import DoubleQLearner, PolicyGradientTrainer, QConfig
+from urex.types import TrajectoryBatch
 
 
 def tiny_spec(**kw):
@@ -98,6 +99,59 @@ def test_run_trial_metrics_jsonl(tmp_path):
         assert {"step", "method", "tau", "eta", "clip", "mean_reward",
                 "grad_norm_pre", "grad_norm_post", "wall_ms", "max_len",
                 "weight_variance"}.issubset(row)
+
+
+def test_run_trial_stops_at_a_divergence_after_the_steps_before_it(tmp_path, monkeypatch):
+    real_step = PolicyGradientTrainer.step
+
+    def step(trainer):
+        if trainer.step_count == 4:  # the fifth update's forward pass meets NaN weights
+            trainer.policy.params.flat[:] = np.nan
+        return real_step(trainer)
+
+    evals = []
+    real_evaluate = trial.evaluate_greedy
+    monkeypatch.setattr(PolicyGradientTrainer, "step", step)
+    monkeypatch.setattr(trial, "evaluate_greedy",
+                        lambda *args: evals.append(args) or real_evaluate(*args))
+    path = tmp_path / "m.jsonl"
+    spec = tiny_spec(max_steps=12, eval_every=3, success_rule="threshold",
+                     success_threshold=float("inf"))
+    res = run_trial(spec, metrics_path=path)
+    assert res.failure_cause == "divergence: non-finite recurrent state in the forward pass"
+    assert res.steps_run == 4 and not res.success and res.success_step is None
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [row["step"] for row in rows] == [1, 2, 3, 4]
+    assert [row["mean_reward"] for row in rows] == res.reward_curve
+    assert res.final_expected_reward == pytest.approx(np.mean(res.reward_curve))
+    assert len(evals) == 1 and [step for step, *_ in res.eval_history] == [3]
+
+
+def test_binary_search_trial_trains_and_evaluates_on_lists_of_envs():
+    spec = tiny_spec(task=TaskId.BINARY_SEARCH, method="urex", tau=0.1, max_steps=2,
+                     eval_every=2, eval_episodes=3)
+    res = run_trial(spec)
+    assert res.steps_run == 2 and len(res.reward_curve) == 2
+    assert len(res.weight_variance_curve) == 2
+
+    def eval_stream():
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([spec.restart_seed, trial._EVAL_STREAM])))
+
+    # the eval after the last step saw the final policy, drawing from a fresh eval stream
+    (step, mean_reward, accuracy), = res.eval_history
+    assert (step, mean_reward, accuracy) == (2, *evaluate_greedy(res.policy, spec, eval_stream()))
+    # ... and scored each episode as a lone env's greedy rollout scores it
+    eval_rng = eval_stream()
+    totals, perfect = [], []
+    for _ in range(spec.eval_episodes):
+        env = make_env(TaskId.BINARY_SEARCH, int(eval_rng.integers(0, 2**63)))
+        env.reset()
+        (traj,), _ = res.policy.rollout([env], greedy=True)
+        totals.append(traj.total_reward)
+        perfect.append(traj.total_reward >= traj.max_total_reward)
+    assert mean_reward == pytest.approx(np.mean(totals)) and accuracy == np.mean(perfect)
+    assert run_trial(spec).reward_curve == res.reward_curve
 
 
 def test_grid_manifest_resume(tmp_path):
@@ -322,7 +376,7 @@ def test_generalization_refinement_finds_exact_cutoff():
             for env in envs:
                 traj = make_traj(env, perfect=env.input_length <= self.cutoff)
                 trajs.append(traj)
-            return trajs, None
+            return TrajectoryBatch.from_trajectories(trajs), None
 
     def make_traj(env, perfect):
         from urex.envs import oracle_rollout
@@ -442,7 +496,7 @@ def small_checkpoint(tmp_path, kind):
     elif kind == "qlearn":
         net = DoubleQLearner(make_env(TaskId.COPY, 0), QConfig(hidden_size=8)).online
     else:
-        net = small_policy(make_env(TaskId.parse(kind), 0), 0)
+        net = small_policy(make_env(TaskId(kind), 0), 0)
     path = tmp_path / f"{kind}.ckpt"
     save_policy(path, net)
     return str(path)
@@ -476,6 +530,104 @@ def test_cli_refuses_a_checkpoint_that_does_not_fit_the_task(tmp_path, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+def copy_checkpoint_bytes(path):
+    return Path(small_checkpoint(path.parent, "Copy")).read_bytes()
+
+
+@pytest.mark.parametrize("command", [["trace"], ["generalize", *SWEEP]], ids=lambda c: c[0])
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: None, "No such file or directory"),
+    (Path.mkdir, "Is a directory"),
+    (lambda path: path.write_text("task = Copy\n"), "not a checkpoint file"),
+    (lambda path: path.write_bytes(
+        copy_checkpoint_bytes(path).replace(b'"version":1', b'"version":2')),
+     "unsupported checkpoint version"),
+    (lambda path: path.write_bytes(copy_checkpoint_bytes(path)[:-8]), "truncated checkpoint"),
+], ids=["missing", "directory", "text", "version", "truncated"])
+def test_cli_refuses_a_checkpoint_it_cannot_load(tmp_path, capsys, command, make, reason):
+    from urex.harness.cli import main
+
+    path = tmp_path / "policy.ckpt"
+    make(path)
+    with pytest.raises(SystemExit) as exit:
+        main([command[0], "--task", "Copy", "--checkpoint", str(path), *command[1:],
+              "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    err = capsys.readouterr().err
+    assert f"urex {command[0]}: error: cannot load checkpoint: " in err
+    assert str(path) in err and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+TRIAL_TASKS = "Copy, DuplicatedInput, RepeatCopy, Reverse, ReversedAddition, BinarySearch"
+
+
+@pytest.mark.parametrize("argv, tasks", [
+    (["run", "--task", "Bandit", "--method", "ment", "--tau", "0"], TRIAL_TASKS),
+    (["grid", "--task", "Bandit", "--method", "ment", "--tau", "0"], TRIAL_TASKS),
+    (["trace", "--task", "Bandit"], TRIAL_TASKS),
+    (["generalize", "--checkpoint", "oracle", "--task", "BinarySearch", "--max-len", "30"],
+     "Copy, DuplicatedInput, RepeatCopy, Reverse, ReversedAddition"),
+], ids=["run", "grid", "trace", "generalize"])
+def test_cli_refuses_a_task_its_command_cannot_run(tmp_path, capsys, argv, tasks):
+    from urex.harness.cli import main
+
+    with pytest.raises(SystemExit) as exit:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    task = argv[argv.index("--task") + 1]
+    assert (f"urex {argv[0]}: error: argument --task: invalid choice: {task!r} "
+            f"(choose from {tasks})") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, task", [("copy", TaskId.COPY), ("COPY", TaskId.COPY),
+                                        ("duplicated_input", TaskId.DUPLICATED_INPUT),
+                                        ("binarysearch", TaskId.BINARY_SEARCH)])
+def test_cli_reads_a_task_by_its_value_or_member_name_in_any_case(tmp_path, monkeypatch,
+                                                                  name, task):
+    spec = _run_spec(monkeypatch, ["run", "--task", name, "--method", "ment", "--tau", "0",
+                                   "--out", str(tmp_path)])
+    assert spec == make_spec(task, "ment", 0.0)
+
+
+def test_cli_grid_writes_its_table_csv_and_manifest_and_resumes(tmp_path, monkeypatch, capsys):
+    from urex.harness.cli import main
+
+    ran = []
+
+    def fake_run_trial(spec):
+        ran.append(spec)
+        success = spec.clip == 10.0 and spec.restart_seed < (2 if spec.eta == 0.1 else 1)
+        return TrialResult(spec_key=spec.key(), success=success, success_step=None,
+                           final_expected_reward=0.5, steps_run=3)
+
+    monkeypatch.setattr(grid, "run_trial", fake_run_trial)
+    argv = ["grid", "--task", "copy", "--method", "ment", "--tau", "0", "--profile", "desk",
+            "--out", str(tmp_path)]
+    main(argv)
+    specs = [make_spec(TaskId.COPY, "ment", 0.0, eta=eta, clip=clip, restart_seed=restart,
+                       profile="desk")
+             for eta in ETAS for clip in CLIPS for restart in range(RESTARTS)]
+    assert ran == specs
+    stem = "grid_Copy_ment_tau0.0_desk"
+    assert sorted(os.listdir(tmp_path)) == [f"{stem}.csv", f"{stem}.jsonl"]
+    rows = [json.loads(line) for line in (tmp_path / f"{stem}.jsonl").read_text().splitlines()]
+    assert rows == [{**fake_run_trial(spec).record(), "spec": spec.record()} for spec in specs]
+    expected = GridResult(task=TaskId.COPY, method="ment", tau=0.0, etas=ETAS, clips=CLIPS,
+                          restarts=RESTARTS, counts={(0.1, 10.0): 2, (0.01, 10.0): 1,
+                                                     (0.001, 10.0): 1})
+    csv = (tmp_path / f"{stem}.csv").read_text()
+    assert csv == expected.to_csv() and "0.1,10.0,2,5" in csv
+    table = capsys.readouterr().out
+    assert table == expected.table() + "\n" and table.endswith("success: 6.7% of 60\n")
+    files = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    ran.clear()
+    main(argv)  # every trial is in the manifest, so none runs again
+    assert ran == [] and capsys.readouterr().out == table
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == files
+
+
 @pytest.mark.parametrize("kind", ["Copy", "qlearn"])
 def test_cli_traces_and_sweeps_a_checkpoint_on_a_task_of_its_spaces(tmp_path, capsys, kind):
     from urex.harness.cli import main
@@ -483,11 +635,11 @@ def test_cli_traces_and_sweeps_a_checkpoint_on_a_task_of_its_spaces(tmp_path, ca
     path = small_checkpoint(tmp_path, kind)
     for task in ("Copy", "Reverse"):
         main(["trace", "--checkpoint", path, "--task", task, "--seed", "2"])
-        env = make_env(TaskId.parse(task), 2)
+        env = make_env(TaskId(task), 2)
         env.reset()
         assert capsys.readouterr().out == render_trace(env, load_policy(path)) + "\n"
         main(["generalize", "--checkpoint", path, "--task", task, *SWEEP, "--out", str(tmp_path)])
-        sweep = generalization_sweep(load_policy(path), TaskId.parse(task), lengths=[30],
+        sweep = generalization_sweep(load_policy(path), TaskId(task), lengths=[30],
                                      episodes_per_length=3)
         assert capsys.readouterr().out == sweep.to_csv() + "\n"
 

@@ -67,7 +67,7 @@ def test_cli_digests_cover_each_file_and_trace_of_the_command_line_runs(tmp_path
         assert digests[f"cli run config {output}"] == digests[f"cli run {output}"]
     for run, task, seed in [("run", "Copy", 0), ("run", "Reverse", 3), ("run qlearn", "Copy", 0)]:
         (checkpoint,) = (tmp_path / run.replace(" ", "_")).glob("*.ckpt")
-        env = make_env(TaskId.parse(task), seed)
+        env = make_env(TaskId(task), seed)
         env.reset()
         text = render_trace(env, load_policy(checkpoint)) + "\n"
         assert digests[f"cli trace {run} checkpoint {task} text"] == same_bits.sha(text)

@@ -52,7 +52,10 @@ TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120),
           ("DuplicatedInput", "ment", 0.01, 0.1, 10.0, 80),
           ("Copy", "qlearn", 0.0, 0.01, 10.0, 300),
           ("BinarySearch", "urex", 0.1, 0.1, 1.0, 20),
-          ("BinarySearch", "qlearn", 0.0, 0.01, 10.0, 60)]
+          ("BinarySearch", "qlearn", 0.0, 0.01, 10.0, 60),
+          ("RepeatCopy", "urex", 0.1, 0.1, 1.0, 30),
+          ("Reverse", "ment", 0.01, 0.1, 10.0, 30),
+          ("ReversedAddition", "urex", 0.1, 0.1, 10.0, 30)]
 TRIAL_SEEDS = (0, 1, 2)
 SWEPT_TRIAL, SWEPT_LENGTHS = "Copy/urex/120/seed0", (30, 100)
 ORACLE_SWEEP_LENGTHS, ORACLE_SWEEP_EPISODES = (30, 100), 5
@@ -124,13 +127,14 @@ class Probe:
 
     def rollout(self, envs, greedy):
         from urex.envs import oracle_rollout
+        from urex.types import TrajectoryBatch
 
         if self.policy is None:
-            episodes = [oracle_rollout(env) for env in envs]
+            batch = TrajectoryBatch.from_trajectories(oracle_rollout(env) for env in envs)
         else:
-            episodes, _ = self.policy.rollout(envs, greedy=greedy)
-        self.episodes += list(episodes)
-        return episodes, None
+            batch, _ = self.policy.rollout(envs, greedy=greedy)
+        self.episodes += list(batch)
+        return batch, None
 
     def digest(self) -> str:
         return sha(repr(self.episodes))
@@ -211,7 +215,7 @@ def trial_digests() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for task, method, tau, eta, clip, steps in TRIALS:
             for seed in TRIAL_SEEDS:
-                spec = make_spec(TaskId.parse(task), method, tau, eta=eta, clip=clip,
+                spec = make_spec(TaskId(task), method, tau, eta=eta, clip=clip,
                                  restart_seed=seed, profile="desk", max_steps=steps,
                                  success_rule="threshold", success_threshold=math.inf)
                 path = Path(tmp) / "metrics.jsonl"
@@ -225,7 +229,7 @@ def trial_digests() -> dict:
                 if name == SWEPT_TRIAL:
                     for length in SWEPT_LENGTHS:
                         probe = Probe(result.policy)
-                        record = generalization_sweep(probe, TaskId.parse(task), lengths=(length,))
+                        record = generalization_sweep(probe, TaskId(task), lengths=(length,))
                         digests[f"{name} sweep {length}"] = sha(record.to_csv())
                         digests[f"{name} sweep {length} episodes"] = probe.digest()
         digests.update(cli_digests(Path(tmp)))
