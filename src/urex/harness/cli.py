@@ -197,8 +197,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
     except argparse.ArgumentTypeError as err:  # values that do not fit each other
         sub.choices[args.command].error(str(err))
+    except BrokenPipeError:  # as the Python docs advise: no traceback, exit code 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -29,9 +29,10 @@ def save_policy(path, policy) -> None:
 
 def load_policy(path):
     params, meta = load_checkpoint(path)
-    if meta.get("kind") == "linear":
-        policy = LinearBanditPolicy.from_meta(meta)
-    else:
-        policy = RecurrentPolicy.from_meta(meta)
-    policy.params.flat[:] = params.flat
+    net = LinearBanditPolicy if meta.get("kind") == "linear" else RecurrentPolicy
+    try:
+        policy = net.from_meta(meta)
+        policy.params.flat[:] = params.flat
+    except (KeyError, TypeError, ValueError) as err:  # meta or parameters of no such net
+        raise ValueError(f"{path}: not a policy checkpoint (meta {meta})") from err
     return policy

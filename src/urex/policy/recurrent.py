@@ -22,9 +22,9 @@ from .params import ParamVector
 INIT_SCALE = 0.08
 FORGET_BIAS = 1.0
 # widths, in multiples of the hidden size, of the work arrays kept between
-# passes: _forward's scratch and backward's state and gate gradients
+# passes: _forward's scratch, and backward's gradients and rebuilt states
 FORWARD_WORK = (4, 4, 1)
-BACKWARD_WORK = (1, 1, 1, 1, 1, 1, 3, 3, 4)
+BACKWARD_WORK = (1, 1, 1, 1, 1, 3, 4, 1, 1)
 
 
 class PolicyDivergence(RuntimeError):
@@ -33,15 +33,13 @@ class PolicyDivergence(RuntimeError):
 
 @dataclass
 class _StepCache:
-    """One time step of the rows still running; every array is C-contiguous."""
+    """One time step of the rows still running; every array is C-contiguous.  BPTT
+    rebuilds x, tanh(c), h and, from the previous step, h_prev and c_prev exactly."""
 
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
+    cols: np.ndarray  # (n_alive, inputs) ints: the columns of the one-hot input's 1.0s
     gates: np.ndarray  # (n_alive, 3 * hidden): input, forget and output gates
     g: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
+    c: np.ndarray  # the new cell state
     logits: np.ndarray  # (n_alive, total head size): the heads side by side
     head_probs: np.ndarray  # (n_alive, total head size)
     actions: np.ndarray  # (n_alive, n_heads) ints
@@ -134,9 +132,21 @@ class RecurrentPolicy:
         g = np.tanh(z[:, 3 * hs :])
         c = gates[:, hs : 2 * hs] * c_prev
         c += np.multiply(gates[:, :hs], g, out=scratch[2][:n])
-        tanh_c = np.tanh(c)
-        h = tanh_c * gates[:, 2 * hs :]
-        return gates, g, c, tanh_c, h
+        h = np.tanh(c)
+        h *= gates[:, 2 * hs :]
+        return gates, g, c, h
+
+    def _one_hot(self, cols):
+        """The (rows, inputs) one-hot input with a 1.0 in each of a row's ``cols``."""
+        x = np.zeros((cols.shape[0], self.input_dim))
+        x[np.arange(cols.shape[0])[:, None], cols] = 1.0
+        return x
+
+    def _rebuilt_state(self, st, tanh_c_out, h_out):
+        """A cached step's tanh(c) and h, rebuilt by the forward pass's ops."""
+        n = len(st.c)
+        tanh_c = np.tanh(st.c, out=tanh_c_out[:n])
+        return tanh_c, np.multiply(tanh_c, st.gates[:, 2 * self.hidden_size :], out=h_out[:n])
 
     def _work(self, rows):
         """Views of one float64 work block kept between passes and grown to
@@ -200,21 +210,15 @@ class RecurrentPolicy:
         while idx.size:
             n = idx.size
             rows = np.arange(n)[:, None]
-            x = np.zeros((n, self.input_dim))
-            x[rows, cols] = 1.0
             shared = t == 0 and distinct.size < B
-            if shared:
-                u = distinct.size
-                x_cell = np.zeros((u, self.input_dim))
-                x_cell[np.arange(u), distinct] = 1.0
-                cell = self._cell(x_cell, h[:u], c[:u], weights, scratch, True)
-            else:
-                cell = self._cell(x, h, c, weights, scratch, t == 0)
+            u = distinct.size if shared else n
+            x = self._one_hot(distinct[:, None] if shared else cols)
+            cell = self._cell(x, h[:u], c[:u], weights, scratch, t == 0)
             if not np.isfinite(cell[-1].sum()):  # |h| <= 1 wherever it is finite
                 raise PolicyDivergence("non-finite recurrent state in the forward pass")
             if shared:
                 cell = [a.take(inv, axis=0) for a in cell]
-            gates, g, c_new, tanh_c, h_new = cell
+            gates, g, c_new, h_new = cell
             z = h_new @ w_all_t
             z += b_all
             if self._padding is None:
@@ -239,8 +243,8 @@ class RecurrentPolicy:
                     head_probs = probs.reshape(n, K * W)
                 else:
                     head_probs = probs.T.reshape(W * K, n).take(entries, axis=0).T.copy()
-                cache.steps.append(_StepCache(x, h, c, gates, g, tanh_c, h_new, z, head_probs,
-                                              actions, idx, kept))
+                cache.steps.append(_StepCache(cols, gates, g, c_new, z, head_probs, actions, idx,
+                                              kept))
             h, c, idx = h_new.take(kept, axis=0), c_new.take(kept, axis=0), idx.take(kept)
             cols = np.concatenate((obs[:, None], actions.take(kept, axis=0) + self._input_offsets),
                                   axis=1)
@@ -361,42 +365,46 @@ class RecurrentPolicy:
         B = cache.batch_size
         # the step's gradients go to rows of the kept work arrays; dh and dc
         # read the next step's from a second array each
-        (dh_buf, dh_next_buf, dc_buf, dc_next_buf, tmp, tmp2, d_gates_buf, omg_buf,
-         dz_buf) = self._work(B)[1]
+        (dh_buf, dh_next_buf, dc_buf, dc_next_buf, tmp, omg_buf, dz_buf, tanh_c_buf,
+         h_buf) = self._work(B)[1]
+        tanh_c, h = self._rebuilt_state(cache.steps[-1], tanh_c_buf, h_buf)
         dh_next = dc_next = None
         for t in range(len(cache.steps) - 1, -1, -1):
             st = cache.steps[t]
             n = st.idx.size
             dl = dlogits_fn(t, st)
-            g_w_all += dl.T @ st.h
+            g_w_all += dl.T @ h
             g_b_all += dl.sum(axis=0)
             dh = np.matmul(dl, w_all, out=dh_buf[:n])
             if dh_next is not None:
                 dh[st.kept] += dh_next
             i, f, o = st.gates[:, :hs], st.gates[:, hs : 2 * hs], st.gates[:, 2 * hs :]
             dc = np.multiply(dh, o, out=dc_buf[:n])
-            dtanh = np.square(st.tanh_c, out=tmp[:n])
+            dtanh = np.square(tanh_c, out=tmp[:n])
             np.subtract(1.0, dtanh, out=dtanh)
             dc *= dtanh
             if dc_next is not None:
                 dc[st.kept] += dc_next
-            d_gates = d_gates_buf[:n]  # di, df, do
-            np.multiply(dc, st.g, out=d_gates[:, :hs])
-            np.multiply(dc, st.c_prev, out=d_gates[:, hs : 2 * hs])
-            np.multiply(dh, st.tanh_c, out=d_gates[:, 2 * hs :])
+            dz = dz_buf[:n]  # di, df, do, dg
+            np.multiply(dc, st.g, out=dz[:, :hs])
+            prev = cache.steps[t - 1]  # the step before; c_prev is zero at step 0
+            np.multiply(dc, prev.c[prev.kept] if t else 0.0, out=dz[:, hs : 2 * hs])
+            np.multiply(dh, tanh_c, out=dz[:, 2 * hs : 3 * hs])
+            d_gates = dz[:, : 3 * hs]
             d_gates *= st.gates
-            dz = dz_buf[:n]
-            np.multiply(d_gates, np.subtract(1.0, st.gates, out=omg_buf[:n]), out=dz[:, : 3 * hs])
+            d_gates *= np.subtract(1.0, st.gates, out=omg_buf[:n])
             dg = np.multiply(dc, i, out=tmp[:n])
-            dtanh = np.square(st.g, out=tmp2[:n])
+            dtanh = np.square(st.g, out=dh_buf[:n])  # dh is spent
             np.subtract(1.0, dtanh, out=dtanh)
             np.multiply(dg, dtanh, out=dz[:, 3 * hs :])
-            g_wx += (st.x.T @ dz).T  # the same bits as dz.T @ x, and faster at 400 rows
+            g_wx += (self._one_hot(st.cols).T @ dz).T  # dz.T @ x's bits, faster at 400 rows
             g_b += dz.sum(axis=0)
             if t == 0:  # h_prev is zero, and no earlier step reads dh or dc
                 break
+            tanh_c, h = self._rebuilt_state(prev, tanh_c_buf, h_buf)
+            h_prev = h[prev.kept]
             # numpy's matmul takes a slow path for one row; np.dot gives its bits
-            g_wh += np.dot(dz.T, st.h_prev) if n == 1 else dz.T @ st.h_prev
+            g_wh += np.dot(dz.T, h_prev) if n == 1 else dz.T @ h_prev
             dh_next = np.matmul(dz, wh, out=dh_next_buf[:n])
             dc_next = np.multiply(dc, f, out=dc_next_buf[:n])
         off = 0

@@ -7,9 +7,9 @@ clones row by row, and backpropagates with a full-batch state gradient.
 The policy under test holds only the running rows, runs the first
 step's cell once per distinct first observation, fuses its heads, steps
 drawn latents on array state (and lists of envs row by row) and stops
-BPTT's first step once its input-weight gradients are in; every output,
-every cached array and every gradient must equal the specification's
-exactly.
+BPTT's first step once its input-weight gradients are in, and caches
+only what BPTT cannot rebuild; every output, every cached array and
+every gradient must equal the specification's exactly.
 """
 
 import numpy as np
@@ -73,7 +73,7 @@ def spec_forward(pol, first_obs, choose, advance):
             logp_step += lp[rows, actions[:, k]]
         logp_total[idx] += logp_step
         steps.append(dict(idx=idx, x=x, h_prev=h[idx], c_prev=c[idx], gates=gates, i=i, f=f,
-                          o=o, g=g, tanh_c=tanh_c, h=h_new, logits=logits, probs=probs,
+                          o=o, g=g, c=c_new, tanh_c=tanh_c, h=h_new, logits=logits, probs=probs,
                           actions=actions))
         h[idx], c[idx] = h_new, c_new
         prev = np.zeros((B, len(pol.heads)), dtype=np.int64)
@@ -193,14 +193,18 @@ def split_heads(pol, step):
 
 
 def assert_cache_matches(pol, cache, steps, B):
-    """The compact cache holds the specification's per-step arrays, and
-    every cached array is C-contiguous."""
+    """The compact cache holds the specification's per-step arrays, its
+    one-hot input as the columns of its 1.0s, and every cached array is
+    C-contiguous."""
     assert cache.batch_size == B and len(cache.steps) == len(steps)
     for t, (st, spec) in enumerate(zip(cache.steps, steps)):
         for name, value in vars(st).items():
             if isinstance(value, np.ndarray):
                 assert value.flags.c_contiguous, f"step {t}: {name} is not C-contiguous"
-        for name in ("idx", "x", "h_prev", "c_prev", "gates", "g", "tanh_c", "h", "actions"):
+        x = np.zeros((st.idx.size, pol.input_dim))
+        np.put_along_axis(x, st.cols, 1.0, axis=1)
+        assert same_bits(x, spec["x"]), f"step {t}: x from cols"
+        for name in ("idx", "gates", "g", "c", "actions"):
             assert same_bits(getattr(st, name), np.ascontiguousarray(spec[name])), f"{t}: {name}"
         assert same_bits(st.logits, np.concatenate(spec["logits"], axis=1)), f"step {t}"
         for k, (probs, spec_probs) in enumerate(zip(split_heads(pol, st), spec["probs"],

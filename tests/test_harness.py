@@ -16,7 +16,8 @@ from urex.harness import (CLIPS, ETAS, RESTARTS, BanditExperimentConfig, GridRes
                           run_trial, train_bandit_policy)
 from urex.harness import blas, grid, trial
 from urex.harness.trace import collect_actions
-from urex.policy import LinearBanditPolicy, load_policy, policy_for_env, save_policy
+from urex.policy import (LinearBanditPolicy, ParamVector, load_policy, policy_for_env,
+                         save_checkpoint, save_policy)
 from urex.trainers import DoubleQLearner, PolicyGradientTrainer, QConfig
 from urex.types import TrajectoryBatch
 
@@ -543,7 +544,12 @@ def copy_checkpoint_bytes(path):
         copy_checkpoint_bytes(path).replace(b'"version":1', b'"version":2')),
      "unsupported checkpoint version"),
     (lambda path: path.write_bytes(copy_checkpoint_bytes(path)[:-8]), "truncated checkpoint"),
-], ids=["missing", "directory", "text", "version", "truncated"])
+    (lambda path: save_checkpoint(path, ParamVector([("w", (3,))]), {}),
+     "not a policy checkpoint"),
+    (lambda path: save_checkpoint(path, ParamVector([("w", (3,))]), {"kind": "linear"}),
+     "not a policy checkpoint"),
+], ids=["missing", "directory", "text", "version", "truncated", "meta-of-no-net",
+        "linear-without-dim"])
 def test_cli_refuses_a_checkpoint_it_cannot_load(tmp_path, capsys, command, make, reason):
     from urex.harness.cli import main
 
@@ -662,6 +668,16 @@ def test_cli_trace_runs(capsys):
     main(["trace", "--task", "BinarySearch", "--seed", "3", "--strategy", "linear"])
     out = capsys.readouterr().out
     assert "R0" in out and "CMP" in out
+
+
+def test_cli_trace_into_a_reader_that_closed_ends_without_a_traceback():
+    """As ``urex trace --task copy | head -3`` does when head exits first."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.Popen([sys.executable, "-m", "urex.harness.cli", "trace", "--task", "copy"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()  # before the command has written anything
+    err = proc.communicate(timeout=120)[1]
+    assert proc.returncode == 1 and err == ""
 
 
 def test_cli_run_writes_outputs(tmp_path, capsys):

@@ -272,6 +272,23 @@ def test_kept_work_block_never_leaks_on_the_q_learning_path():
     assert records == twin_records and same_bits(params, twin_params)
 
 
+@pytest.mark.parametrize("hidden, bound", [(32, 1500), (128, 5400)])
+def test_bptt_cache_keeps_each_value_once(hidden, bound):
+    """A full-scale batch (40 DuplicatedInput latents, K = 10): the cached
+    arrays' bytes per row-step stay within the layout that keeps, of the
+    cell, only c, the gates and g (5H floats) beside the one-hot input's
+    columns and the heads' values.  Caching x, h_prev, c_prev, tanh(c)
+    and h as well took 2,349 B at H = 32 and 8,493 B at H = 128."""
+    groups = duplicated_input_latents(0, 40)
+    pol = policy_for_env(groups[0], hidden_size=hidden)
+    pol.init_params(pcg(3))
+    _, cache = pol.rollout(groups.repeat(10), rng=pcg(1), collect=True)
+    cached = sum(a.nbytes for st in cache.steps for a in vars(st).values()
+                 if isinstance(a, np.ndarray))
+    row_steps = sum(st.idx.size for st in cache.steps)
+    assert row_steps > 400 and cached / row_steps <= bound
+
+
 def test_successive_updates_reuse_one_work_block():
     """Passes carve their work arrays from one block kept on the policy, so
     a steady update allocates none: two updates and a smaller evaluation
@@ -290,6 +307,7 @@ def test_successive_updates_reuse_one_work_block():
     forward, backward = blocks[0]
     assert forward[0].shape == backward[0].shape[:1] + (4 * 32,) == (200, 128)
     assert np.shares_memory(forward[0], backward[0])  # forward and backward share it
+    assert forward[0].base.size == 200 * 14 * 32  # backward's 14H per row, the widest
     for later in blocks[1:]:
         for a, b in zip(forward + backward, later[0] + later[1]):
             assert a is b and a.base is forward[0].base
