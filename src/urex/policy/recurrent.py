@@ -132,9 +132,7 @@ class RecurrentPolicy:
         g = np.tanh(z[:, 3 * hs :])
         c = gates[:, hs : 2 * hs] * c_prev
         c += np.multiply(gates[:, :hs], g, out=scratch[2][:n])
-        h = np.tanh(c)
-        h *= gates[:, 2 * hs :]
-        return gates, g, c, h
+        return gates, g, c, self._hidden(c, gates[:, 2 * hs :], scratch[2])[1]
 
     def _one_hot(self, cols):
         """The (rows, inputs) one-hot input with a 1.0 in each of a row's ``cols``."""
@@ -142,11 +140,13 @@ class RecurrentPolicy:
         x[np.arange(cols.shape[0])[:, None], cols] = 1.0
         return x
 
-    def _rebuilt_state(self, st, tanh_c_out, h_out):
-        """A cached step's tanh(c) and h, rebuilt by the forward pass's ops."""
-        n = len(st.c)
-        tanh_c = np.tanh(st.c, out=tanh_c_out[:n])
-        return tanh_c, np.multiply(tanh_c, st.gates[:, 2 * self.hidden_size :], out=h_out[:n])
+    @staticmethod
+    def _hidden(c, o, tanh_buf, h_buf=None):
+        """(tanh(c), h = tanh(c) * o), the one way both passes build h: into
+        rows of ``tanh_buf`` and of ``h_buf`` (a fresh array if None)."""
+        n = len(c)
+        tanh_c = np.tanh(c, out=tanh_buf[:n])
+        return tanh_c, np.multiply(tanh_c, o, out=None if h_buf is None else h_buf[:n])
 
     def _work(self, rows):
         """Views of one float64 work block kept between passes and grown to
@@ -367,7 +367,8 @@ class RecurrentPolicy:
         # read the next step's from a second array each
         (dh_buf, dh_next_buf, dc_buf, dc_next_buf, tmp, omg_buf, dz_buf, tanh_c_buf,
          h_buf) = self._work(B)[1]
-        tanh_c, h = self._rebuilt_state(cache.steps[-1], tanh_c_buf, h_buf)
+        last = cache.steps[-1]
+        tanh_c, h = self._hidden(last.c, last.gates[:, 2 * hs :], tanh_c_buf, h_buf)
         dh_next = dc_next = None
         for t in range(len(cache.steps) - 1, -1, -1):
             st = cache.steps[t]
@@ -387,7 +388,7 @@ class RecurrentPolicy:
                 dc[st.kept] += dc_next
             dz = dz_buf[:n]  # di, df, do, dg
             np.multiply(dc, st.g, out=dz[:, :hs])
-            prev = cache.steps[t - 1]  # the step before; c_prev is zero at step 0
+            prev = cache.steps[t - 1] if t else None  # the step before; c_prev is zero at step 0
             np.multiply(dc, prev.c[prev.kept] if t else 0.0, out=dz[:, hs : 2 * hs])
             np.multiply(dh, tanh_c, out=dz[:, 2 * hs : 3 * hs])
             d_gates = dz[:, : 3 * hs]
@@ -401,7 +402,7 @@ class RecurrentPolicy:
             g_b += dz.sum(axis=0)
             if t == 0:  # h_prev is zero, and no earlier step reads dh or dc
                 break
-            tanh_c, h = self._rebuilt_state(prev, tanh_c_buf, h_buf)
+            tanh_c, h = self._hidden(prev.c, prev.gates[:, 2 * hs :], tanh_c_buf, h_buf)
             h_prev = h[prev.kept]
             # numpy's matmul takes a slow path for one row; np.dot gives its bits
             g_wh += np.dot(dz.T, h_prev) if n == 1 else dz.T @ h_prev

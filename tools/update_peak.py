@@ -5,8 +5,8 @@ BPTT cache keeps per row-step.
 
 Builds the policy and trainer that ``run_trial`` builds for a UREX trial
 of ``--task`` under ``--profile`` with N = 40 groups of K = 10 samples,
-freshly initialised from ``--seed``, and runs its first update at one
-BLAS thread, in a fresh spawned process: the peak is that process's
+freshly initialised from restart seed 0, and runs its first update at
+one BLAS thread.  Run it as its own process: the peak is that process's
 resident set since it started, imports included (``ru_maxrss``).  Prints
 one JSON object: the peak in MB, the cached bytes per row-step (the
 summed ``nbytes`` of every array in the update's rollout cache, divided
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import resource
 import sys
 import time
@@ -36,12 +35,12 @@ from urex.harness import make_spec  # noqa: E402
 from urex.harness.blas import blas_threads  # noqa: E402
 from urex.harness.trial import _policy_gradient_learner, env_factory_for  # noqa: E402
 
-METHOD, TAU, N, K = "urex", 0.1, 40, 10
+METHOD, TAU, N, K, SEED = "urex", 0.1, 40, 10, 0
 
 
-def measure(task: str, profile: str, seed: int) -> dict:
+def measure(task: str, profile: str) -> dict:
     """One update of a fresh learner in this process; see the module docstring."""
-    spec = make_spec(TaskId(task), METHOD, TAU, restart_seed=seed, profile=profile, n=N, k=K)
+    spec = make_spec(TaskId(task), METHOD, TAU, restart_seed=SEED, profile=profile, n=N, k=K)
     factory = env_factory_for(spec)
     probe = factory(0, LENGTH_FLOOR)
     probe.reset()
@@ -62,7 +61,7 @@ def measure(task: str, profile: str, seed: int) -> dict:
     cached = sum(a.nbytes for st in cache.steps for a in vars(st).values()
                  if isinstance(a, np.ndarray))
     row_steps = sum(st.idx.size for st in cache.steps)
-    return {"task": task, "profile": profile, "seed": seed, "method": METHOD, "n": N, "k": K,
+    return {"task": task, "profile": profile, "seed": SEED, "method": METHOD, "n": N, "k": K,
             "hidden_size": spec.hidden_size,
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             "cache_bytes_per_row_step": round(cached / row_steps, 1), "row_steps": row_steps,
@@ -74,11 +73,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--task", choices=[task.value for task in TaskId], required=True)
     ap.add_argument("--profile", choices=["desk", "full"], required=True)
-    ap.add_argument("--seed", type=int, default=0, help="restart seed (default 0)")
     args = ap.parse_args(argv)
-    with multiprocessing.get_context("spawn").Pool(1) as pool:
-        report = pool.apply(measure, (args.task, args.profile, args.seed))
-    print(json.dumps(report))
+    print(json.dumps(measure(args.task, args.profile)))
     return 0
 
 
