@@ -29,7 +29,7 @@ class TrialResult:
     weight_variance_curve: list = field(default_factory=list)
     eval_history: list = field(default_factory=list)  # (step, mean_reward, accuracy)
     failure_cause: str | None = None
-    policy: object = None  # trained policy (Q-learning's online net); not serialized
+    policy: object = None  # trained parameters (Q-learning's online net); not serialized
 
     def record(self) -> dict:
         return {
@@ -188,5 +188,5 @@ def run_trial(spec: TrialSpec, metrics_path=None) -> TrialResult:
             sink.close()
     tail = result.reward_curve[-FINAL_REWARD_BATCHES:]
     result.final_expected_reward = float(np.mean(tail)) if tail else float("nan")
-    result.policy = policy
+    result.policy = policy.spawn_like()  # without the work block its passes kept
     return result

@@ -45,6 +45,9 @@ class _StepCache:
     actions: np.ndarray  # (n_alive, n_heads) ints
     idx: np.ndarray  # alive row indices into the full batch
     kept: np.ndarray  # positions in ``idx`` of the rows that run the next step
+    # step 0, if its cell ran once per distinct first observation: each row's
+    # distinct one, the only rows that gates, g and c hold
+    shared: np.ndarray | None = None
 
 
 @dataclass
@@ -201,8 +204,8 @@ class RecurrentPolicy:
         cols = obs[:, None]  # one-hot input columns: observation, then previous actions
         # Every row starts from the zero state, so step 0's cell depends on
         # the first observation alone: it runs once per distinct one, and
-        # ``inv`` gathers the results back to the rows.  A one-hot row
-        # times W_x is one weight column exactly, whatever the row count.
+        # ``inv`` gathers h to the rows and c to the kept ones.  A one-hot
+        # row times W_x is one weight column exactly, whatever the row count.
         distinct, inv = np.unique(obs, return_inverse=True) if B > 1 else (obs, None)
         logp_total = np.zeros(B)
         cache = RolloutCache(batch_size=B) if collect else None
@@ -216,9 +219,9 @@ class RecurrentPolicy:
             cell = self._cell(x, h[:u], c[:u], weights, scratch, t == 0)
             if not np.isfinite(cell[-1].sum()):  # |h| <= 1 wherever it is finite
                 raise PolicyDivergence("non-finite recurrent state in the forward pass")
-            if shared:
-                cell = [a.take(inv, axis=0) for a in cell]
             gates, g, c_new, h_new = cell
+            if shared:  # the head product's bits depend on its row count
+                h_new = h_new.take(inv, axis=0)
             z = h_new @ w_all_t
             z += b_all
             if self._padding is None:
@@ -244,8 +247,9 @@ class RecurrentPolicy:
                 else:
                     head_probs = probs.T.reshape(W * K, n).take(entries, axis=0).T.copy()
                 cache.steps.append(_StepCache(cols, gates, g, c_new, z, head_probs, actions, idx,
-                                              kept))
-            h, c, idx = h_new.take(kept, axis=0), c_new.take(kept, axis=0), idx.take(kept)
+                                              kept, inv if shared else None))
+            c = c_new.take(inv[kept] if shared else kept, axis=0)
+            h, idx = h_new.take(kept, axis=0), idx.take(kept)
             cols = np.concatenate((obs[:, None], actions.take(kept, axis=0) + self._input_offsets),
                                   axis=1)
             t += 1
@@ -367,8 +371,16 @@ class RecurrentPolicy:
         # read the next step's from a second array each
         (dh_buf, dh_next_buf, dc_buf, dc_next_buf, tmp, omg_buf, dz_buf, tanh_c_buf,
          h_buf) = self._work(B)[1]
-        last = cache.steps[-1]
-        tanh_c, h = self._hidden(last.c, last.gates[:, 2 * hs :], tanh_c_buf, h_buf)
+
+        def rebuilt(st):  # tanh(c) and h at every row of st
+            if st.shared is None:
+                return self._hidden(st.c, st.gates[:, 2 * hs :], tanh_c_buf, h_buf)
+            # a shared step 0's: on its distinct rows, in arrays spent by then, and gathered
+            built = self._hidden(st.c, st.gates[:, 2 * hs :], tmp, dh_buf)
+            return [a.take(st.shared, axis=0, out=buf[: st.shared.size], mode="clip")
+                    for a, buf in zip(built, (tanh_c_buf, h_buf))]
+
+        tanh_c, h = rebuilt(cache.steps[-1])
         dh_next = dc_next = None
         for t in range(len(cache.steps) - 1, -1, -1):
             st = cache.steps[t]
@@ -379,7 +391,11 @@ class RecurrentPolicy:
             dh = np.matmul(dl, w_all, out=dh_buf[:n])
             if dh_next is not None:
                 dh[st.kept] += dh_next
-            i, f, o = st.gates[:, :hs], st.gates[:, hs : 2 * hs], st.gates[:, 2 * hs :]
+            gates, g = st.gates, st.g
+            if st.shared is not None:  # into spent arrays; "clip" fills out= unbuffered
+                gates = gates.take(st.shared, axis=0, out=omg_buf[:n], mode="clip")
+                g = g.take(st.shared, axis=0, out=dh_next_buf[:n], mode="clip")
+            i, f, o = gates[:, :hs], gates[:, hs : 2 * hs], gates[:, 2 * hs :]
             dc = np.multiply(dh, o, out=dc_buf[:n])
             dtanh = np.square(tanh_c, out=tmp[:n])
             np.subtract(1.0, dtanh, out=dtanh)
@@ -387,22 +403,24 @@ class RecurrentPolicy:
             if dc_next is not None:
                 dc[st.kept] += dc_next
             dz = dz_buf[:n]  # di, df, do, dg
-            np.multiply(dc, st.g, out=dz[:, :hs])
-            prev = cache.steps[t - 1] if t else None  # the step before; c_prev is zero at step 0
-            np.multiply(dc, prev.c[prev.kept] if t else 0.0, out=dz[:, hs : 2 * hs])
+            np.multiply(dc, g, out=dz[:, :hs])
+            if t:  # c_prev is the step before's c at the rows it kept, and zero at step 0
+                prev = cache.steps[t - 1]
+                c_prev = prev.c[prev.kept if prev.shared is None else prev.shared[prev.kept]]
+            np.multiply(dc, c_prev if t else 0.0, out=dz[:, hs : 2 * hs])
             np.multiply(dh, tanh_c, out=dz[:, 2 * hs : 3 * hs])
             d_gates = dz[:, : 3 * hs]
-            d_gates *= st.gates
-            d_gates *= np.subtract(1.0, st.gates, out=omg_buf[:n])
-            dg = np.multiply(dc, i, out=tmp[:n])
-            dtanh = np.square(st.g, out=dh_buf[:n])  # dh is spent
+            d_gates *= gates
+            dg = np.multiply(dc, i, out=tmp[:n])  # before a gathered i turns into 1 - i
+            d_gates *= np.subtract(1.0, gates, out=omg_buf[:n])
+            dtanh = np.square(g, out=dh_buf[:n])  # dh is spent
             np.subtract(1.0, dtanh, out=dtanh)
             np.multiply(dg, dtanh, out=dz[:, 3 * hs :])
             g_wx += (self._one_hot(st.cols).T @ dz).T  # dz.T @ x's bits, faster at 400 rows
             g_b += dz.sum(axis=0)
             if t == 0:  # h_prev is zero, and no earlier step reads dh or dc
                 break
-            tanh_c, h = self._hidden(prev.c, prev.gates[:, 2 * hs :], tanh_c_buf, h_buf)
+            tanh_c, h = rebuilt(prev)
             h_prev = h[prev.kept]
             # numpy's matmul takes a slow path for one row; np.dot gives its bits
             g_wh += np.dot(dz.T, h_prev) if n == 1 else dz.T @ h_prev

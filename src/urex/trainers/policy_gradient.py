@@ -91,6 +91,7 @@ def update(policy, optim: AdamState, envs, config: TrainConfig, rng):
     coeffs, wvar = group_coefficients(config, batch.totals.reshape(shape),
                                       batch.log_probs.reshape(shape))
     grad = grad_fn(coeffs)
+    del grad_fn  # and with it the rollout cache, which clipping and Adam do not read
     norm_pre = float(np.linalg.norm(grad))
     clipped = clip_gradient(grad, config.clip_norm)
     norm_post = norm_pre if clipped is grad else float(np.linalg.norm(clipped))

@@ -82,6 +82,7 @@ class DoubleQLearner:
             return d
 
         grad = self.online.backward(cache, dlogits_fn)
+        del cache, target_cache  # Adam reads neither
         self.online.params.flat[:] = adam_update(
             self.online.params.flat, grad, self.optim, self.config.learning_rate
         )

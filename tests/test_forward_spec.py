@@ -204,8 +204,13 @@ def assert_cache_matches(pol, cache, steps, B):
         x = np.zeros((st.idx.size, pol.input_dim))
         np.put_along_axis(x, st.cols, 1.0, axis=1)
         assert same_bits(x, spec["x"]), f"step {t}: x from cols"
+        if st.shared is not None:  # step 0's gates, g and c, one row per distinct first input
+            assert t == 0 and np.unique(st.cols).size == len(st.gates) < st.idx.size
         for name in ("idx", "gates", "g", "c", "actions"):
-            assert same_bits(getattr(st, name), np.ascontiguousarray(spec[name])), f"{t}: {name}"
+            value = getattr(st, name)
+            if st.shared is not None and name in ("gates", "g", "c"):
+                value = value[st.shared]  # through step 0's row map
+            assert same_bits(value, np.ascontiguousarray(spec[name])), f"{t}: {name}"
         assert same_bits(st.logits, np.concatenate(spec["logits"], axis=1)), f"step {t}"
         for k, (probs, spec_probs) in enumerate(zip(split_heads(pol, st), spec["probs"],
                                                     strict=True)):
@@ -329,3 +334,26 @@ def test_full_scale_batch_matches_the_specification(mode):
     lengths = batch.lengths
     assert lengths.size == 400
     assert np.count_nonzero(lengths == lengths.max()) == 1  # a one-row step
+
+
+def test_first_step_caches_one_row_per_distinct_first_observation():
+    """40 drawn DuplicatedInput latents with K = 10 rows each: step 0 keeps
+    gates, g and c for its distinct first observations alone, beside the
+    row map that gathers them to the rows, and the gradient read through
+    that map is the specification's."""
+    envs = draw_latents(TaskId.DUPLICATED_INPUT, list(range(40)), [(2, 8)] * 40).repeat(10)
+    pol = policy_for_env(envs[0], hidden_size=32)
+    pol.init_params(np.random.Generator(np.random.PCG64(7)))
+    _, cache = pol.rollout(envs, rng=np.random.Generator(np.random.PCG64(1)), collect=True)
+    _, steps, _ = spec_rollout(pol, list(envs), rng=np.random.Generator(np.random.PCG64(1)))
+    first = lockstep(envs).first_obs
+    distinct = np.unique(first).size
+    step0 = cache.steps[0]
+    assert distinct <= 6 and len(first) == 400
+    assert (step0.gates.shape, step0.g.shape, step0.c.shape) == ((distinct, 96), (distinct, 32),
+                                                                 (distinct, 32))
+    assert np.array_equal(np.unique(first)[step0.shared], first)
+    assert all(st.shared is None for st in cache.steps[1:])
+    coeffs = np.linspace(-1.0, 1.5, 400)
+    assert same_bits(pol.grad_weighted_logprob(cache, coeffs),
+                     spec_backward(pol, steps, 400, coeffs))

@@ -41,6 +41,25 @@ def test_run_trial_deterministic_and_curves():
     assert np.isfinite(a.final_expected_reward)
 
 
+@pytest.mark.parametrize("method", ["ment", "qlearn"])
+def test_run_trial_returns_the_trained_parameters_without_a_work_block(method, monkeypatch):
+    learner_name = "_q_learner" if method == "qlearn" else "_policy_gradient_learner"
+    learner, trained = getattr(trial, learner_name), []
+
+    def keeping_the_policy(*args):
+        policy, step = learner(*args)
+        trained.append(policy)
+        return policy, step
+
+    monkeypatch.setattr(trial, learner_name, keeping_the_policy)
+    result = run_trial(tiny_spec(method=method))
+    (policy,) = trained
+    assert policy._work_rows > 0  # the trainer's policy kept its passes' work block
+    assert result.policy is not policy and result.policy._work_rows == 0
+    assert result.policy.meta() == policy.meta()
+    assert result.policy.params.flat.tobytes() == policy.params.flat.tobytes()
+
+
 # A desk DuplicatedInput/ment trial at criterion 08's hyper-parameters.
 # Its 400-row weight-gradient GEMMs give different bits at 1 and 2
 # OpenBLAS threads unless run_trial holds the count fixed.

@@ -1,6 +1,8 @@
 """Training-step behavior: improvement on tiny problems, metrics schema,
 and the double Q-learning baseline."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from urex.envs.bandit import BanditEnv
 from urex.envs import TaskId, make_env
 from urex.harness import make_spec
 from urex.harness.trial import env_factory_for
-from urex.policy import LinearBanditPolicy
+from urex.policy import LinearBanditPolicy, policy_for_env
+from urex.trainers import policy_gradient, qlearning
 from urex.trainers import (AdamState, DoubleQLearner, PolicyGradientTrainer,
                            QConfig, TrainConfig, update)
 from urex.types import Trajectory
@@ -145,6 +148,57 @@ def test_train_config_validation():
         TrainConfig(method="nope", tau=0.1, learning_rate=0.1, clip_norm=1.0)
     with pytest.raises(ValueError):
         TrainConfig(method="ment", tau=0.1, learning_rate=0.1, clip_norm=1.0, k=1)
+
+
+def keep_weakrefs(policy, method, refs):
+    """Wrap ``policy.<method>`` (rollout or replay) to append to ``refs`` a
+    weak reference to each cache it returns."""
+    run = getattr(policy, method)
+
+    def keeping_a_weakref(*args, **kwargs):
+        out, cache = run(*args, **kwargs)
+        refs.append(weakref.ref(cache))
+        return out, cache
+
+    setattr(policy, method, keeping_a_weakref)
+
+
+def dead_at_adam(monkeypatch, module, refs):
+    """Patch ``module.adam_update`` to record, at each call, whether every
+    cache in ``refs`` is unreachable; returns that record."""
+    record, adam = [], module.adam_update
+
+    def checking(*args, **kwargs):
+        record.append(bool(refs) and all(ref() is None for ref in refs))
+        return adam(*args, **kwargs)
+
+    monkeypatch.setattr(module, "adam_update", checking)
+    return record
+
+
+def test_update_drops_the_rollout_cache_before_adam(monkeypatch):
+    envs = [make_env(TaskId.COPY, seed, (2, 4)) for seed in range(4)]
+    for env in envs:
+        env.reset()
+    pol = policy_for_env(envs[0], hidden_size=8)
+    pol.init_params(np.random.Generator(np.random.PCG64(0)))
+    refs = []
+    keep_weakrefs(pol, "rollout", refs)
+    record = dead_at_adam(monkeypatch, policy_gradient, refs)
+    cfg = TrainConfig(method="urex", tau=0.1, learning_rate=0.05, clip_norm=1.0, k=3, n=4)
+    rng = np.random.Generator(np.random.PCG64(1))
+    update(pol, AdamState.like(pol.params.flat), envs, cfg, rng)
+    assert len(refs) == 1 and record == [True]
+
+
+def test_q_train_step_drops_both_caches_before_adam(monkeypatch):
+    learner = DoubleQLearner(ChainEnv(0), QConfig(hidden_size=8, seed=0))
+    refs = []
+    keep_weakrefs(learner.online, "rollout", refs)
+    keep_weakrefs(learner.target, "replay", refs)
+    record = dead_at_adam(monkeypatch, qlearning, refs)
+    learner.train_step(ChainEnv(0))
+    assert len(refs) == 2 and record == [True]
 
 
 def online_q_values(learner, trajectory):

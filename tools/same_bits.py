@@ -7,9 +7,12 @@ compared:
 
 - the digest of ``benchmarks/run.py --workload W --seed S --seconds 1
   --trace 0`` for W in desk, full, qlearn, bandit and S in 0, 1, 2;
-- fixed desk ``run_trial`` runs (``TRIALS``, seeds 0-2), each reduced
-  to sha256 digests of its metrics JSONL rows without ``wall_ms``, its
-  eval history, its ``record()`` and its final parameters;
+- fixed ``run_trial`` runs (``TRIALS``, seeds 0-2), each reduced to
+  sha256 digests of its metrics JSONL rows without ``wall_ms``, its
+  eval history, its ``record()`` and its final parameters: desk trials,
+  and a 3-step full-profile DuplicatedInput/ment trial, whose updates
+  run (B, H) = (400, 128) with a first step shared by the K rows of a
+  latent, through its curriculum and its greedy evaluation;
 - length-generalization sweeps, as digests of their CSV records and of
   every episode decoded in them: the oracle's on every tape task as
   ``urex generalize --checkpoint oracle --max-len 100 --episodes 5``
@@ -47,15 +50,16 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 BENCH_RUNS = [(w, s) for w in ("desk", "full", "qlearn", "bandit") for s in (0, 1, 2)]
-# (task, method, tau, eta, clip, steps) of the fixed desk trials
-TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120),
-          ("DuplicatedInput", "ment", 0.01, 0.1, 10.0, 80),
-          ("Copy", "qlearn", 0.0, 0.01, 10.0, 300),
-          ("BinarySearch", "urex", 0.1, 0.1, 1.0, 20),
-          ("BinarySearch", "qlearn", 0.0, 0.01, 10.0, 60),
-          ("RepeatCopy", "urex", 0.1, 0.1, 1.0, 30),
-          ("Reverse", "ment", 0.01, 0.1, 10.0, 30),
-          ("ReversedAddition", "urex", 0.1, 0.1, 10.0, 30)]
+# (task, method, tau, eta, clip, steps, profile) of the fixed trials
+TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120, "desk"),
+          ("DuplicatedInput", "ment", 0.01, 0.1, 10.0, 80, "desk"),
+          ("Copy", "qlearn", 0.0, 0.01, 10.0, 300, "desk"),
+          ("BinarySearch", "urex", 0.1, 0.1, 1.0, 20, "desk"),
+          ("BinarySearch", "qlearn", 0.0, 0.01, 10.0, 60, "desk"),
+          ("RepeatCopy", "urex", 0.1, 0.1, 1.0, 30, "desk"),
+          ("Reverse", "ment", 0.01, 0.1, 10.0, 30, "desk"),
+          ("ReversedAddition", "urex", 0.1, 0.1, 10.0, 30, "desk"),
+          ("DuplicatedInput", "ment", 0.01, 0.1, 10.0, 3, "full")]
 TRIAL_SEEDS = (0, 1, 2)
 SWEPT_TRIAL, SWEPT_LENGTHS = "Copy/urex/120/seed0", (30, 100)
 ORACLE_SWEEP_LENGTHS, ORACLE_SWEEP_EPISODES = (30, 100), 5
@@ -213,15 +217,16 @@ def trial_digests() -> dict:
         raise SystemExit(f"imported urex from {urex.__file__}, not from {Path.cwd()}")
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for task, method, tau, eta, clip, steps in TRIALS:
+        for task, method, tau, eta, clip, steps, profile in TRIALS:
             for seed in TRIAL_SEEDS:
                 spec = make_spec(TaskId(task), method, tau, eta=eta, clip=clip,
-                                 restart_seed=seed, profile="desk", max_steps=steps,
+                                 restart_seed=seed, profile=profile, max_steps=steps,
                                  success_rule="threshold", success_threshold=math.inf)
                 path = Path(tmp) / "metrics.jsonl"
                 result = run_trial(spec, metrics_path=path)
-                params = getattr(result.policy, "online", result.policy).params.flat
+                params = result.policy.params.flat
                 name = f"{task}/{method}/{steps}/seed{seed}"
+                name = name if profile == "desk" else f"{profile} {name}"
                 digests[f"{name} rows"] = sha(normalise_rows(path.read_text()))
                 digests[f"{name} eval"] = sha(json.dumps(result.eval_history))
                 digests[f"{name} record"] = sha(json.dumps(result.record()))

@@ -11,8 +11,9 @@ resident set since it started, imports included (``ru_maxrss``).  Prints
 one JSON object: the peak in MB, the cached bytes per row-step (the
 summed ``nbytes`` of every array in the update's rollout cache, divided
 by its row-steps), the row-steps, the cache's MB, the update's wall
-time and the numpy version.  Standard library, numpy and urex only; run from
-the root of a source checkout.
+time and the numpy version.  Standard library, numpy and urex only; it
+measures the urex in the ``src/`` of the checkout it sits in, whatever the
+working directory, so measure a second checkout with that checkout's copy.
 """
 
 from __future__ import annotations
