@@ -8,9 +8,9 @@ MAX_CHECK_PARAMS = 5000
 EPSILON = 1e-5  # central-difference step
 
 
-def finite_diff_check(policy, trajectories, coefficients, env=None) -> float:
+def finite_diff_check(policy, batch, coefficients, env=None) -> float:
     """Max relative error between analytic and central-difference gradients
-    of ``sum_j coeff_j * log pi(trajectory_j)``.
+    of ``sum_j coeff_j * log pi(trajectory_j)`` over a TrajectoryBatch.
 
     Perturbs every coordinate, so the parameter count must stay small.
     ``env`` is required for the linear bandit policy (features live there).
@@ -21,15 +21,15 @@ def finite_diff_check(policy, trajectories, coefficients, env=None) -> float:
         raise ValueError(f"too many parameters to perturb ({policy.params.size})")
 
     features = () if env is None else (env,)
-    analytic = policy.weighted_grad(trajectories, coefficients, *features)
+    analytic = policy.weighted_grad(batch, coefficients, *features)
     flat = policy.params.flat
     fd = np.zeros_like(flat)
     for idx in range(flat.size):
         orig = flat[idx]
         flat[idx] = orig + EPSILON
-        up = policy.weighted_logprob(trajectories, coefficients, *features)
+        up = policy.weighted_logprob(batch, coefficients, *features)
         flat[idx] = orig - EPSILON
-        down = policy.weighted_logprob(trajectories, coefficients, *features)
+        down = policy.weighted_logprob(batch, coefficients, *features)
         flat[idx] = orig
         fd[idx] = (up - down) / (2.0 * EPSILON)
 

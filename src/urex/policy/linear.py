@@ -16,13 +16,6 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _arms(trajectories) -> np.ndarray:
-    """The arm of each single-step trajectory, from a batch or a list."""
-    if isinstance(trajectories, TrajectoryBatch):
-        return trajectories.actions[:, 0, 0]
-    return np.array([t.actions[0][0] for t in trajectories], dtype=np.int64)
-
-
 class LinearBanditPolicy:
     """Single-step policy over a fixed action set with per-action features.
 
@@ -76,13 +69,13 @@ class LinearBanditPolicy:
             causes=np.full(k, COMPLETED, dtype=object),
         )
 
-    def weighted_logprob(self, trajectories, coefficients, env) -> float:
-        return float(np.dot(coefficients, self.log_probs(env)[_arms(trajectories)]))
+    def weighted_logprob(self, batch: TrajectoryBatch, coefficients, env) -> float:
+        return float(np.dot(coefficients, self.log_probs(env)[batch.actions[:, 0, 0]]))
 
-    def weighted_grad(self, trajectories, coefficients, env) -> np.ndarray:
+    def weighted_grad(self, batch: TrajectoryBatch, coefficients, env) -> np.ndarray:
         """Gradient of sum_j c_j log pi(a_j): sum_j c_j (phi[a_j] - E_pi[phi])."""
         coeffs = np.asarray(coefficients, dtype=float)
-        arms = _arms(trajectories)
+        arms = batch.actions[:, 0, 0]
         probs = self.probs(env)
         mean_phi = probs @ env.features
         return env.features[arms].T @ coeffs - coeffs.sum() * mean_phi

@@ -11,7 +11,7 @@ is computed exactly by unrolling the cell backwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +48,6 @@ class _StepCache:
     # step 0, if its cell ran once per distinct first observation: each row's
     # distinct one, the only rows that gates, g and c hold
     shared: np.ndarray | None = None
-
-
-@dataclass
-class RolloutCache:
-    batch_size: int = 0
-    steps: list = field(default_factory=list)
 
 
 class RecurrentPolicy:
@@ -189,7 +183,7 @@ class RecurrentPolicy:
         and ``advance(t, idx, actions)`` returns a keep mask over them and
         the next observations of the kept rows, by which the state is
         compacted.
-        Returns (per-row log-probs, cache or None).
+        Returns (per-row log-probs, list of step records or None).
         """
         B, hs, K, W = obs.size, self.hidden_size, len(self.heads), self._width
         p = self.params
@@ -208,7 +202,7 @@ class RecurrentPolicy:
         # row times W_x is one weight column exactly, whatever the row count.
         distinct, inv = np.unique(obs, return_inverse=True) if B > 1 else (obs, None)
         logp_total = np.zeros(B)
-        cache = RolloutCache(batch_size=B) if collect else None
+        cache = [] if collect else None
         t = 0
         while idx.size:
             n = idx.size
@@ -246,8 +240,8 @@ class RecurrentPolicy:
                     head_probs = probs.reshape(n, K * W)
                 else:
                     head_probs = probs.T.reshape(W * K, n).take(entries, axis=0).T.copy()
-                cache.steps.append(_StepCache(cols, gates, g, c_new, z, head_probs, actions, idx,
-                                              kept, inv if shared else None))
+                cache.append(_StepCache(cols, gates, g, c_new, z, head_probs, actions, idx,
+                                        kept, inv if shared else None))
             c = c_new.take(inv[kept] if shared else kept, axis=0)
             h, idx = h_new.take(kept, axis=0), idx.take(kept)
             cols = np.concatenate((obs[:, None], actions.take(kept, axis=0) + self._input_offsets),
@@ -263,8 +257,8 @@ class RecurrentPolicy:
         uniformly random actions for epsilon-greedy control.  The envs,
         which must be reset and may repeat, are only read: the episodes
         advance in one lockstep stepper (``urex.envs.lockstep``).
-        Returns (TrajectoryBatch, cache); the cache is None unless
-        ``collect`` is set.
+        Returns (TrajectoryBatch, step records); the records are None
+        unless ``collect`` is set.
         """
         if not len(envs):
             raise ValueError("rollout needs at least one env")
@@ -320,15 +314,11 @@ class RecurrentPolicy:
                                 stepper.max_rewards, stepper.seeds, row_causes)
         return batch, cache
 
-    def replay(self, trajectories, collect=False):
-        """Recompute per-trajectory log-probs for fixed action sequences,
-        given as a TrajectoryBatch or a list of trajectories.
+    def replay(self, batch: TrajectoryBatch, collect=False):
+        """Recompute per-trajectory log-probs for fixed action sequences.
 
-        Returns (log_probs array, cache or None).
+        Returns (log_probs array, step records or None).
         """
-        batch = trajectories
-        if not isinstance(batch, TrajectoryBatch):
-            batch = TrajectoryBatch.from_trajectories(trajectories)
         lengths, observations, actions = batch.lengths, batch.observations, batch.actions
 
         def advance(t, idx, _):
@@ -339,12 +329,12 @@ class RecurrentPolicy:
         return self._forward(observations[:, 0].copy(),
                              lambda t, idx, logits, probs: actions[idx, t], advance, collect)
 
-    def weighted_logprob(self, trajectories, coefficients) -> float:
-        logp, _ = self.replay(trajectories)
+    def weighted_logprob(self, batch: TrajectoryBatch, coefficients) -> float:
+        logp, _ = self.replay(batch)
         return float(np.dot(np.asarray(coefficients, dtype=float), logp))
 
     # -- backward ------------------------------------------------------------
-    def backward(self, cache: RolloutCache, dlogits_fn) -> np.ndarray:
+    def backward(self, steps: list, dlogits_fn) -> np.ndarray:
         """Backpropagate through time from per-step head-logit gradients.
 
         ``dlogits_fn(t, step) -> (n_alive, total_head_size)`` supplies the
@@ -366,7 +356,7 @@ class RecurrentPolicy:
         g_w_all = np.zeros((total, self.hidden_size))
         g_b_all = np.zeros(total)
         hs = self.hidden_size
-        B = cache.batch_size
+        B = steps[0].idx.size  # every row runs step 0
         # the step's gradients go to rows of the kept work arrays; dh and dc
         # read the next step's from a second array each
         (dh_buf, dh_next_buf, dc_buf, dc_next_buf, tmp, omg_buf, dz_buf, tanh_c_buf,
@@ -380,10 +370,10 @@ class RecurrentPolicy:
             return [a.take(st.shared, axis=0, out=buf[: st.shared.size], mode="clip")
                     for a, buf in zip(built, (tanh_c_buf, h_buf))]
 
-        tanh_c, h = rebuilt(cache.steps[-1])
+        tanh_c, h = rebuilt(steps[-1])
         dh_next = dc_next = None
-        for t in range(len(cache.steps) - 1, -1, -1):
-            st = cache.steps[t]
+        for t in range(len(steps) - 1, -1, -1):
+            st = steps[t]
             n = st.idx.size
             dl = dlogits_fn(t, st)
             g_w_all += dl.T @ h
@@ -405,7 +395,7 @@ class RecurrentPolicy:
             dz = dz_buf[:n]  # di, df, do, dg
             np.multiply(dc, g, out=dz[:, :hs])
             if t:  # c_prev is the step before's c at the rows it kept, and zero at step 0
-                prev = cache.steps[t - 1]
+                prev = steps[t - 1]
                 c_prev = prev.c[prev.kept if prev.shared is None else prev.shared[prev.kept]]
             np.multiply(dc, c_prev if t else 0.0, out=dz[:, hs : 2 * hs])
             np.multiply(dh, tanh_c, out=dz[:, 2 * hs : 3 * hs])
@@ -436,8 +426,8 @@ class RecurrentPolicy:
             raise PolicyDivergence(f"non-finite gradient in segments {bad}")
         return grad.flat
 
-    def grad_weighted_logprob(self, cache: RolloutCache, coefficients) -> np.ndarray:
-        """Gradient of sum_j coeff_j * log pi(trajectory_j) from a cache."""
+    def grad_weighted_logprob(self, steps: list, coefficients) -> np.ndarray:
+        """Gradient of sum_j coeff_j * log pi(trajectory_j) from step records."""
         coeffs = np.asarray(coefficients, dtype=float)
 
         def dlogits_fn(t, st):
@@ -446,11 +436,11 @@ class RecurrentPolicy:
             dl[np.arange(st.idx.size)[:, None], st.actions + self._head_offsets] += scale
             return dl
 
-        return self.backward(cache, dlogits_fn)
+        return self.backward(steps, dlogits_fn)
 
-    def weighted_grad(self, trajectories, coefficients) -> np.ndarray:
-        _, cache = self.replay(trajectories, collect=True)
-        return self.grad_weighted_logprob(cache, coefficients)
+    def weighted_grad(self, batch: TrajectoryBatch, coefficients) -> np.ndarray:
+        _, steps = self.replay(batch, collect=True)
+        return self.grad_weighted_logprob(steps, coefficients)
 
     # -- env collection protocol (shared with the linear policy) ---------------
     def collect(self, group_envs, k: int, rng: np.random.Generator):

@@ -63,12 +63,12 @@ class DoubleQLearner:
         """Collect one epsilon-greedy episode from ``env`` and fit its targets."""
         env.reset()
         eps = self.config.epsilon(self.updates)
-        batch, cache = self.online.rollout([env], rng=self.rng, eps=eps, collect=True)
+        batch, steps = self.online.rollout([env], rng=self.rng, eps=eps, collect=True)
         T = int(batch.lengths[0])
         rewards = batch.rewards[0, :T]
-        q_online = _episode_logits(cache)
-        _, target_cache = self.target.replay(batch, collect=True)
-        q_target = _episode_logits(target_cache)
+        q_online = _episode_logits(steps)
+        _, target_steps = self.target.replay(batch, collect=True)
+        q_target = _episode_logits(target_steps)
         best_next = q_online[1:].argmax(axis=1)
         targets = rewards.copy()
         targets[:-1] += self.config.discount * q_target[1:][np.arange(T - 1), best_next]
@@ -81,8 +81,8 @@ class DoubleQLearner:
             d[0, taken[t]] = -2.0 * residual[t]
             return d
 
-        grad = self.online.backward(cache, dlogits_fn)
-        del cache, target_cache  # Adam reads neither
+        grad = self.online.backward(steps, dlogits_fn)
+        del steps, target_steps  # Adam reads neither
         self.online.params.flat[:] = adam_update(
             self.online.params.flat, grad, self.optim, self.config.learning_rate
         )
@@ -102,6 +102,6 @@ class DoubleQLearner:
         return trajs[0]
 
 
-def _episode_logits(cache) -> np.ndarray:
+def _episode_logits(steps) -> np.ndarray:
     """A one-row episode's cached head logits, one row per step: (T, A)."""
-    return np.concatenate([st.logits for st in cache.steps])
+    return np.concatenate([st.logits for st in steps])

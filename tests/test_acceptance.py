@@ -23,7 +23,7 @@ from urex.policy import (LinearBanditPolicy, finite_diff_check, policy_for_env,
                          sample_trajectory)
 from urex.trainers import (DoubleQLearner, QConfig, importance_weights,
                            ment_coefficients, urex_coefficients)
-from urex.types import Trajectory
+from urex.types import Trajectory, TrajectoryBatch
 
 
 def report(number, name, ok, detail=""):
@@ -41,7 +41,8 @@ def test_criterion_01_gradient_correctness():
         env.reset()
         pol = policy_for_env(env, hidden_size=4)
         pol.init_params(np.random.Generator(np.random.PCG64(seed)))
-        trajs = [sample_trajectory(pol, env.clone(), s) for s in range(3)]
+        trajs = TrajectoryBatch.from_trajectories(
+            sample_trajectory(pol, env.clone(), s) for s in range(3))
         coeffs = np.random.Generator(np.random.PCG64(500 + seed)).normal(size=3)
         worst_rnn = max(worst_rnn, finite_diff_check(pol, trajs, coeffs))
 
@@ -161,8 +162,9 @@ def test_criterion_05_estimator_expectations():
             r = [t.total_reward for t in trajs]
             lp = [t.log_prob for t in trajs]
             w = pi[a1] * pi[a2]
-            ment_est += w * pol.weighted_grad(trajs, ment_coefficients(r, lp, tau, center=False), env)
-            urex_est += w * pol.weighted_grad(trajs, urex_coefficients(r, lp, tau, center_rewards=False), env)
+            batch = TrajectoryBatch.from_trajectories(trajs)
+            ment_est += w * pol.weighted_grad(batch, ment_coefficients(r, lp, tau, center=False), env)
+            urex_est += w * pol.weighted_grad(batch, urex_coefficients(r, lp, tau, center_rewards=False), env)
 
         exact_ment = (pi * (rewards - tau * logp - tau)) @ score
         worst_ment = max(worst_ment, float(np.max(np.abs(ment_est - exact_ment))))

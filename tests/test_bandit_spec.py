@@ -69,7 +69,8 @@ def test_collect_matches_the_specification(seed, k, groups):
     coeffs = np.random.Generator(np.random.PCG64(50 + seed)).normal(size=groups * k)
     expect = np.zeros(pol.dim)
     for g, env in enumerate(envs):
-        expect += pol.weighted_grad(spec_groups[g], coeffs[g * k : (g + 1) * k], env)
+        group = TrajectoryBatch.from_trajectories(spec_groups[g])
+        expect += pol.weighted_grad(group, coeffs[g * k : (g + 1) * k], env)
     assert grad_fn(coeffs).tobytes() == expect.tobytes()
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from urex.envs import TaskId, draw_latents, make_env
 from urex.policy import PolicyDivergence, policy_for_env, sample_trajectory
+from urex.types import TrajectoryBatch
 
 
 def test_nan_logits_abort_rollout():
@@ -37,4 +38,4 @@ def test_nonfinite_gradient_names_segment():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # inf math precedes the raise
         with pytest.raises(PolicyDivergence, match="head_|lstm_"):
-            pol.weighted_grad([traj], [np.inf])
+            pol.weighted_grad(TrajectoryBatch.from_trajectories([traj]), [np.inf])

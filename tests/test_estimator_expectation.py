@@ -13,7 +13,7 @@ import numpy as np
 from urex.envs.bandit import BanditEnv
 from urex.policy import LinearBanditPolicy
 from urex.trainers import ment_coefficients, urex_coefficients
-from urex.types import Trajectory
+from urex.types import Trajectory, TrajectoryBatch
 
 REWARDS = np.array([0.9, 0.4, 0.1])
 TAU = 0.2
@@ -46,7 +46,7 @@ def estimator_expectation(method, theta):
             coeffs = ment_coefficients(rewards, logps, TAU, center=False)
         else:
             coeffs = urex_coefficients(rewards, logps, TAU, center_rewards=False)
-        grad = pol.weighted_grad(trajs, coeffs, env)
+        grad = pol.weighted_grad(TrajectoryBatch.from_trajectories(trajs), coeffs, env)
         total += probs[a1] * probs[a2] * grad
     return total
 
@@ -103,7 +103,8 @@ def test_centered_estimator_keeps_direction_but_shrinks():
         rewards = [t.total_reward for t in trajs]
         logps = [t.log_prob for t in trajs]
         coeffs = ment_coefficients(rewards, logps, 0.0, center=True)
-        cent += probs[a1] * probs[a2] * pol.weighted_grad(trajs, coeffs, env)
+        batch = TrajectoryBatch.from_trajectories(trajs)
+        cent += probs[a1] * probs[a2] * pol.weighted_grad(batch, coeffs, env)
     pi = softmax(theta)
     score = np.eye(3) - pi
     exact = (pi * REWARDS) @ score

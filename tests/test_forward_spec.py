@@ -196,8 +196,8 @@ def assert_cache_matches(pol, cache, steps, B):
     """The compact cache holds the specification's per-step arrays, its
     one-hot input as the columns of its 1.0s, and every cached array is
     C-contiguous."""
-    assert cache.batch_size == B and len(cache.steps) == len(steps)
-    for t, (st, spec) in enumerate(zip(cache.steps, steps)):
+    assert cache[0].idx.size == B and len(cache) == len(steps)  # every row runs step 0
+    for t, (st, spec) in enumerate(zip(cache, steps)):
         for name, value in vars(st).items():
             if isinstance(value, np.ndarray):
                 assert value.flags.c_contiguous, f"step {t}: {name} is not C-contiguous"
@@ -348,12 +348,12 @@ def test_first_step_caches_one_row_per_distinct_first_observation():
     _, steps, _ = spec_rollout(pol, list(envs), rng=np.random.Generator(np.random.PCG64(1)))
     first = lockstep(envs).first_obs
     distinct = np.unique(first).size
-    step0 = cache.steps[0]
+    step0 = cache[0]
     assert distinct <= 6 and len(first) == 400
     assert (step0.gates.shape, step0.g.shape, step0.c.shape) == ((distinct, 96), (distinct, 32),
                                                                  (distinct, 32))
     assert np.array_equal(np.unique(first)[step0.shared], first)
-    assert all(st.shared is None for st in cache.steps[1:])
+    assert all(st.shared is None for st in cache[1:])
     coeffs = np.linspace(-1.0, 1.5, 400)
     assert same_bits(pol.grad_weighted_logprob(cache, coeffs),
                      spec_backward(pol, steps, 400, coeffs))

@@ -7,6 +7,7 @@ from urex.envs import TaskId, make_env
 from urex.envs.bandit import BanditEnv
 from urex.policy import (LinearBanditPolicy, finite_diff_check, policy_for_env,
                          sample_trajectory)
+from urex.types import TrajectoryBatch
 
 
 def test_recurrent_gradcheck_copy():
@@ -16,7 +17,8 @@ def test_recurrent_gradcheck_copy():
         env.reset()
         pol = policy_for_env(env, hidden_size=4)
         pol.init_params(np.random.Generator(np.random.PCG64(seed)))
-        trajs = [sample_trajectory(pol, env.clone(), s) for s in range(3)]
+        trajs = TrajectoryBatch.from_trajectories(
+            sample_trajectory(pol, env.clone(), s) for s in range(3))
         coeffs = rng.normal(size=3)
         assert finite_diff_check(pol, trajs, coeffs) <= 1e-4
 
@@ -26,7 +28,8 @@ def test_recurrent_gradcheck_addition_grid():
     env.reset()
     pol = policy_for_env(env, hidden_size=4)
     pol.init_params(np.random.Generator(np.random.PCG64(1)))
-    trajs = [sample_trajectory(pol, env.clone(), s) for s in range(2)]
+    trajs = TrajectoryBatch.from_trajectories(
+        sample_trajectory(pol, env.clone(), s) for s in range(2))
     assert finite_diff_check(pol, trajs, [1.0, -0.3]) <= 1e-4
 
 
@@ -46,7 +49,8 @@ def test_zero_coefficients_zero_error():
     env.reset()
     pol = policy_for_env(env, hidden_size=4)
     pol.init_params(np.random.Generator(np.random.PCG64(3)))
-    trajs = [sample_trajectory(pol, env.clone(), s) for s in range(2)]
+    trajs = TrajectoryBatch.from_trajectories(
+        sample_trajectory(pol, env.clone(), s) for s in range(2))
     assert finite_diff_check(pol, trajs, [0.0, 0.0]) == 0.0
 
 

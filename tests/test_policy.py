@@ -14,6 +14,7 @@ from urex.envs.bandit import BanditEnv
 from urex.policy import (LinearBanditPolicy, RecurrentPolicy, load_policy,
                          policy_for_env, sample_trajectory, save_policy)
 from urex.trainers import DoubleQLearner, QConfig
+from urex.types import TrajectoryBatch
 
 from joint_action import JointActionView
 from test_forward_spec import split_heads
@@ -41,7 +42,8 @@ def test_recomputed_log_prob_matches_sampled():
     env, pol = make_copy_policy(hidden=16)
     for seed in range(20):
         traj = sample_trajectory(pol, env.clone(), seed)
-        assert pol.replay([traj])[0][0] == pytest.approx(traj.log_prob, abs=1e-9)
+        batch = TrajectoryBatch.from_trajectories([traj])
+        assert pol.replay(batch)[0][0] == pytest.approx(traj.log_prob, abs=1e-9)
 
 
 def same_bits(a, b):
@@ -50,9 +52,8 @@ def same_bits(a, b):
 
 
 def assert_same_caches(rolled, replayed):
-    assert rolled.batch_size == replayed.batch_size
-    assert len(rolled.steps) == len(replayed.steps)
-    for a, b in zip(rolled.steps, replayed.steps):
+    assert len(rolled) == len(replayed)
+    for a, b in zip(rolled, replayed):
         for f in dataclasses.fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             if isinstance(x, list):
@@ -203,7 +204,7 @@ def test_replay_of_batch_and_of_its_trajectories_agree():
     pol.init_params(np.random.Generator(np.random.PCG64(4)))
     batch, _ = pol.rollout(envs, rng=np.random.Generator(np.random.PCG64(5)), eps=0.5)
     logp_batch, cache_batch = pol.replay(batch, collect=True)
-    logp_list, cache_list = pol.replay(list(batch), collect=True)
+    logp_list, cache_list = pol.replay(TrajectoryBatch.from_trajectories(batch), collect=True)
     assert same_bits(logp_batch, logp_list)
     assert_same_caches(cache_batch, cache_list)
 
@@ -260,7 +261,7 @@ def test_kept_work_block_never_leaks_on_the_q_learning_path():
         if interleave:
             learner.online.rollout(others, greedy=True)
         grad = learner.online.backward(
-            cache, lambda t, st: target_cache.steps[t].logits - st.logits)
+            cache, lambda t, st: target_cache[t].logits - st.logits)
         assert np.any(grad != 0.0)
         if interleave:
             learner.online.rollout(others, greedy=True)
@@ -283,9 +284,9 @@ def test_bptt_cache_keeps_each_value_once(hidden, bound):
     pol = policy_for_env(groups[0], hidden_size=hidden)
     pol.init_params(pcg(3))
     _, cache = pol.rollout(groups.repeat(10), rng=pcg(1), collect=True)
-    cached = sum(a.nbytes for st in cache.steps for a in vars(st).values()
+    cached = sum(a.nbytes for st in cache for a in vars(st).values()
                  if isinstance(a, np.ndarray))
-    row_steps = sum(st.idx.size for st in cache.steps)
+    row_steps = sum(st.idx.size for st in cache)
     assert row_steps > 400 and cached / row_steps <= bound
 
 
@@ -323,9 +324,9 @@ def test_log_prob_additivity_small_case():
     # one step, factored heads: joint log-prob is the sum over heads
     env, pol = make_copy_policy(hidden=8)
     traj = sample_trajectory(pol, env.clone(), 3)
-    logp, cache = pol.replay([traj], collect=True)
+    logp, cache = pol.replay(TrajectoryBatch.from_trajectories([traj]), collect=True)
     total = 0.0
-    for t, step in enumerate(cache.steps):
+    for t, step in enumerate(cache):
         if t >= len(traj.actions):
             break
         for k in range(len(pol.heads)):
@@ -380,7 +381,7 @@ def test_recurrent_sampling_chi_square():
     n = 20_000
     envs = [env.clone() for _ in range(n)]
     trajs, cache = pol.rollout(envs, rng=rng, collect=True)
-    probs = split_heads(pol, cache.steps[0])[2][0]
+    probs = split_heads(pol, cache[0])[2][0]
     counts = np.bincount([t.actions[0][2] for t in trajs], minlength=probs.size)
     chi2 = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
     # chi-square with 4 dof: p > 0.001 means chi2 below 18.47
@@ -389,7 +390,8 @@ def test_recurrent_sampling_chi_square():
 
 def test_weighted_grad_linearity_and_zero():
     env, pol = make_copy_policy(hidden=8)
-    trajs = [sample_trajectory(pol, env.clone(), s) for s in range(4)]
+    trajs = TrajectoryBatch.from_trajectories(
+        sample_trajectory(pol, env.clone(), s) for s in range(4))
     zero = pol.weighted_grad(trajs, np.zeros(4))
     assert np.array_equal(zero, np.zeros(pol.params.size))
     c1 = np.array([0.5, -1.0, 2.0, 0.25])
@@ -412,8 +414,8 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     save_policy(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
     # recomputation after the round trip is bit-identical
-    traj = sample_trajectory(pol, env.clone(), 0)
-    assert loaded.replay([traj])[0][0] == pol.replay([traj])[0][0]
+    batch = TrajectoryBatch.from_trajectories([sample_trajectory(pol, env.clone(), 0)])
+    assert loaded.replay(batch)[0][0] == pol.replay(batch)[0][0]
 
 
 def test_linear_policy_log_prob_and_grad():
@@ -427,7 +429,7 @@ def test_linear_policy_log_prob_and_grad():
         assert t.log_prob == pytest.approx(pol.log_probs(env)[t.actions[0][0]], abs=1e-12)
     # closed-form score: phi[a] - E_pi[phi]
     probs = pol.probs(env)
-    grad = pol.weighted_grad([trajs[0]], [1.0], env)
+    grad = pol.weighted_grad(TrajectoryBatch.from_trajectories([trajs[0]]), [1.0], env)
     arm = trajs[0].actions[0][0]
     expect = env.features[arm] - probs @ env.features
     assert np.allclose(grad, expect, atol=1e-12)

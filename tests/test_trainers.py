@@ -16,7 +16,7 @@ from urex.policy import LinearBanditPolicy, policy_for_env
 from urex.trainers import policy_gradient, qlearning
 from urex.trainers import (AdamState, DoubleQLearner, PolicyGradientTrainer,
                            QConfig, TrainConfig, update)
-from urex.types import Trajectory
+from urex.types import Trajectory, TrajectoryBatch
 
 
 class ChainEnv(Env):
@@ -152,13 +152,14 @@ def test_train_config_validation():
 
 def keep_weakrefs(policy, method, refs):
     """Wrap ``policy.<method>`` (rollout or replay) to append to ``refs`` a
-    weak reference to each cache it returns."""
+    weak reference to the first record of each list of step records it
+    returns, which the list keeps alive."""
     run = getattr(policy, method)
 
     def keeping_a_weakref(*args, **kwargs):
-        out, cache = run(*args, **kwargs)
-        refs.append(weakref.ref(cache))
-        return out, cache
+        out, steps = run(*args, **kwargs)
+        refs.append(weakref.ref(steps[0]))
+        return out, steps
 
     setattr(policy, method, keeping_a_weakref)
 
@@ -203,8 +204,8 @@ def test_q_train_step_drops_both_caches_before_adam(monkeypatch):
 
 def online_q_values(learner, trajectory):
     """The online net's Q-values along a fixed episode: its replayed logits, (T, A)."""
-    _, cache = learner.online.replay([trajectory], collect=True)
-    return np.concatenate([st.logits for st in cache.steps])
+    _, steps = learner.online.replay(TrajectoryBatch.from_trajectories([trajectory]), collect=True)
+    return np.concatenate([st.logits for st in steps])
 
 
 def chain_q_values(learner):

@@ -15,18 +15,30 @@ rewritten after every pair.  The bounds come from the parent checkout's
 ``BENCHMARK.json``.  Neither checkout's ``benchmarks/`` nor its
 ``BENCHMARK.json`` is changed.  Standard library only; the
 ``OPENBLAS_NUM_THREADS`` of the caller passes through to every run.
+
+The reading rule, per metric: each pair gives the log-ratio
+ln(change / parent).  The summary holds their median, a percentile
+bootstrap 95% interval for that median (resampling the pairs with a
+fixed seed) and an exact two-sided sign-test p-value over the pairs
+that differ.  A metric "moved" when its interval excludes 0, and moved
+"beyond bound" when the whole interval lies past the bound on the worse
+side: above ln(1 + bound) where lower is better, below ln(1 - bound)
+where higher is better.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import random
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+RESAMPLES, BOOTSTRAP_SEED = 10_000, 0
 
 
 def end_to_end(spec: dict) -> dict:
@@ -40,12 +52,41 @@ def quartiles(values) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def bootstrap_interval(values) -> tuple:
+    """Percentile bootstrap 95% interval of the median of ``values``."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = [statistics.median(rng.choices(values, k=len(values))) for _ in range(RESAMPLES)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def paired(parent, change, better: str, bound: float) -> dict:
+    """The reading rule (module docstring) for one metric's pairs."""
+    logs = [math.log(c / p) for p, c in zip(parent, change)]
+    median = statistics.median(logs)
+    lo, hi = bootstrap_interval(logs)
+    worse = lo > math.log1p(bound) if better == "lower" else hi < math.log1p(-bound)
+    pct = [f"{100 * math.expm1(x):+.1f}%" for x in (median, lo, hi)]
+    return {"log_ratio_median": round(median, 4), "log_ratio_ci95": [round(lo, 4), round(hi, 4)],
+            "paired_change": f"{pct[0]} [{pct[1]}, {pct[2]}]",
+            "sign_test_p": round(sign_test(sum(x > 0 for x in logs), sum(x < 0 for x in logs)), 4),
+            "moved": lo > 0 or hi < 0, "beyond_bound": worse}
+
+
 def summarize(pairs, metrics: dict) -> dict:
     """Per metric: each side's median and quartiles, the pairs in which the
     change is strictly better (ties count for neither side), the relative
-    change of the medians, the parent's interquartile range and whether
+    change of the medians, the parent's interquartile range, whether
     the change's median is worse than the parent's by more than the
-    bound, a fraction of the parent's median."""
+    bound, a fraction of the parent's median, and the paired reading
+    rule's fields (``paired``)."""
     summary = {}
     for name, (better, bound) in metrics.items():
         parent = [p["parent"][name] for p in pairs]
@@ -63,6 +104,7 @@ def summarize(pairs, metrics: dict) -> dict:
             "parent_iqr": round(p_q["q3"] - p_q["q1"], 4),
             "bound": bound,
             "worse_than_bound": sign * rel > bound,
+            **paired(parent, change, better, bound),
         }
     return summary
 

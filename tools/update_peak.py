@@ -59,9 +59,9 @@ def measure(task: str, profile: str) -> dict:
         step()
         update_s = time.perf_counter() - start
     (cache,) = caches
-    cached = sum(a.nbytes for st in cache.steps for a in vars(st).values()
+    cached = sum(a.nbytes for st in cache for a in vars(st).values()
                  if isinstance(a, np.ndarray))
-    row_steps = sum(st.idx.size for st in cache.steps)
+    row_steps = sum(st.idx.size for st in cache)
     return {"task": task, "profile": profile, "seed": SEED, "method": METHOD, "n": N, "k": K,
             "hidden_size": spec.hidden_size,
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
