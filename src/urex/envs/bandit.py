@@ -29,25 +29,14 @@ class BanditEnv(Env):
     action_heads = None  # set per instance
 
     def __init__(self, seed: int, num_actions: int = 10_000, beta: float = 8.0,
-                 dim: int = 30, payoffs=None, features=None):
+                 dim: int = 30):
         super().__init__(seed)
         self.num_actions = int(num_actions)
         self.beta = float(beta)
         self.dim = int(dim)
-        self._fixed = None
-        if payoffs is not None:
-            payoffs = np.asarray(payoffs, dtype=float)
-            if features is None:
-                features = np.eye(len(payoffs))
-            self._fixed = (payoffs, np.asarray(features, dtype=float))
-            self.num_actions = len(payoffs)
-            self.dim = self._fixed[1].shape[1]
         self.action_heads = (("arm", self.num_actions),)
 
     def _draw_latent(self, stream):
-        if self._fixed is not None:
-            self.payoffs, self.features = self._fixed
-            return
         seed = int(stream.integers(0, 2**63))
         self.payoffs, self.features = bandit_payoffs(seed, self.num_actions, self.beta, self.dim)
 

@@ -56,12 +56,6 @@ class BinarySearchEnv(Env):
         values = increments.cumsum() + offset
         self._install(tuple(values.tolist()), int(stream.integers(0, n)))
 
-    def set_latent(self, n: int, query_pos: int) -> int:
-        """Install a fixed latent state (for replay and trace tests)."""
-        self._install(tuple(range(int(n))), query_pos)
-        self._has_latent = True
-        return self.restart()
-
     def _install(self, array: tuple, query_pos: int) -> None:
         self.n = len(array)
         self.array = array

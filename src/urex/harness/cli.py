@@ -61,6 +61,13 @@ def _probe_lengths(max_len) -> list[int]:
     return lengths
 
 
+def _count(value) -> int:
+    """A count flag's value: an integer of at least 1."""
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return int(value)
+
+
 def _load_fitting(path, task):
     """The checkpoint at ``path``, if its net reads ``task``'s observations and
     acts through the task's heads or through one joint head of their product."""
@@ -164,18 +171,18 @@ def main(argv=None):
     p.add_argument("--checkpoint", required=True, help="policy checkpoint, or 'oracle'")
     p.add_argument("--task", type=lambda name: _task(name, TAPE_TASKS), required=True)
     p.add_argument("--max-len", type=_probe_lengths, dest="lengths", metavar="MAX_LEN")
-    p.add_argument("--episodes", type=int, dest="episodes_per_length")
+    p.add_argument("--episodes", type=_count, dest="episodes_per_length")
     p.add_argument("--seed", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_generalize)
 
     p = sub.add_parser("bandit", help="large-action bandit method comparison")
-    p.add_argument("--actions", type=int, dest="num_actions")
-    p.add_argument("--dim", type=int)
+    p.add_argument("--actions", type=_count, dest="num_actions")
+    p.add_argument("--dim", type=_count)
     p.add_argument("--beta", type=float)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--repeats", type=_count)
+    p.add_argument("--restarts", type=_count)
+    p.add_argument("--steps", type=_count)
     p.add_argument("--seed", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_bandit)

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..types import Trajectory
 from .gradcheck import finite_diff_check
 from .linear import LinearBanditPolicy
 from .params import ParamVector, load_checkpoint, save_checkpoint
@@ -14,13 +11,6 @@ from .recurrent import PolicyDivergence, RecurrentPolicy
 def policy_for_env(env, hidden_size: int = 128) -> RecurrentPolicy:
     """Recurrent policy shaped to an environment's observation/action spaces."""
     return RecurrentPolicy(env.num_observations, env.action_heads, hidden_size)
-
-
-def sample_trajectory(policy: RecurrentPolicy, env, rng_seed: int) -> Trajectory:
-    """Sample one episode; deterministic in (params, env latent, rng_seed)."""
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    trajs, _ = policy.rollout([env], rng=rng)
-    return trajs[0]
 
 
 def save_policy(path, policy) -> None:

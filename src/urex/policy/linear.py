@@ -28,11 +28,8 @@ class LinearBanditPolicy:
         self.dim = int(dim)
         self.params = ParamVector([("theta", (self.dim,))])
 
-    def init_params(self, rng: np.random.Generator, scale: float = 0.0) -> None:
-        if scale:
-            self.params.flat[:] = rng.normal(scale=scale, size=self.dim)
-        else:
-            self.params.flat[:] = 0.0
+    def init_params(self, rng: np.random.Generator, scale: float) -> None:
+        self.params.flat[:] = rng.normal(scale=scale, size=self.dim)
 
     def meta(self) -> dict:
         return {"kind": "linear", "dim": self.dim}

@@ -43,44 +43,38 @@ def importance_weights(rewards, log_probs, tau: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def urex_coefficients(rewards, log_probs, tau: float, *, num_groups: int = 1,
-                      center_rewards: bool = True) -> np.ndarray:
-    """Coefficients for groups of K trajectories, each sharing a latent state.
-
-    ``center_rewards=False`` drops the mean-reward baseline (used by the
-    estimator-expectation tests, where the baseline's small finite-K bias
-    would obscure the comparison).
-    """
-    return _urex_terms(rewards, log_probs, tau, num_groups, center_rewards)[0]
+def urex_coefficients(rewards, log_probs, tau: float, *,
+                      num_groups: int = 1) -> np.ndarray:
+    """Coefficients for groups of K trajectories, each sharing a latent state."""
+    return _urex_terms(rewards, log_probs, tau, num_groups)[0]
 
 
-def _urex_terms(rewards, log_probs, tau: float, num_groups: int, center_rewards: bool = True):
+def _urex_terms(rewards, log_probs, tau: float, num_groups: int):
     """``urex_coefficients`` and the importance weights they are made from."""
     rewards = np.asarray(rewards, dtype=float)
     k = rewards.shape[-1]
-    if k < 2 and center_rewards:
+    if k < 2:
         raise ValueError("reward centering needs K >= 2")
-    r_hat = rewards - rewards.mean(axis=-1, keepdims=True) if center_rewards else rewards
+    r_hat = rewards - rewards.mean(axis=-1, keepdims=True)
     w_hat = importance_weights(rewards, log_probs, tau)
     return (r_hat / k + tau * w_hat) / num_groups, w_hat
 
 
-def ment_coefficients(rewards, log_probs, tau: float, *, num_groups: int = 1,
-                      center: bool = True) -> np.ndarray:
+def ment_coefficients(rewards, log_probs, tau: float, *,
+                      num_groups: int = 1) -> np.ndarray:
     """Entropy-regularized REINFORCE coefficients for groups of K trajectories.
 
-    At tau=0 with centering this is REINFORCE with a mean-reward baseline.
+    At tau=0 this is REINFORCE with a mean-reward baseline.
     """
     rewards = np.asarray(rewards, dtype=float)
     log_probs = np.asarray(log_probs, dtype=float)
     _check_finite("rewards", rewards)
     _check_finite("log_probs", log_probs)
     k = rewards.shape[-1]
-    if k < 2 and center:
+    if k < 2:
         raise ValueError("centering needs K >= 2")
     raw = rewards - tau * log_probs - tau
-    if center:
-        raw = raw - raw.mean(axis=-1, keepdims=True)
+    raw = raw - raw.mean(axis=-1, keepdims=True)
     return raw / (num_groups * k)
 
 

@@ -37,10 +37,10 @@ class QConfig:
                 raise ValueError("epsilon must lie in [0, 1]")
         if self.sync_every < 1:
             raise ValueError("sync_every must be >= 1")
+        if self.eps_decay_steps < 1:
+            raise ValueError("eps_decay_steps must be >= 1")
 
     def epsilon(self, step: int) -> float:
-        if self.eps_decay_steps <= 0:
-            return self.eps_end
         frac = min(1.0, step / self.eps_decay_steps)
         return self.eps_start + frac * (self.eps_end - self.eps_start)
 

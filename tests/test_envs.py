@@ -17,6 +17,7 @@ from urex.envs.search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, OP_AVG,
 from urex.envs.tape import MOVE_LEFT, MOVE_RIGHT, TapeAction
 
 import tape_spec
+from fixed_latents import set_search_latent
 from joint_action import JointActionView
 
 TAPE_TASKS = [TaskId.COPY, TaskId.DUPLICATED_INPUT, TaskId.REPEAT_COPY,
@@ -172,7 +173,7 @@ def test_binary_search_latent_and_registers():
 
 def test_binary_search_register_ops():
     env = make_env(TaskId.BINARY_SEARCH, 1)
-    env.set_latent(512, 100)
+    set_search_latent(env, 512, 100)
     env.step(SearchAction(OP_AVG, 2))
     assert env.registers == [512, 0, 256]
     res = env.step(SearchAction(OP_CMP, 2))
@@ -185,12 +186,12 @@ def test_binary_search_register_ops():
 
 def test_binary_search_found_reward_and_limit():
     env = make_env(TaskId.BINARY_SEARCH, 2)
-    env.set_latent(40, 0)
+    set_search_latent(env, 40, 0)
     res = env.step(SearchAction(OP_CMP, 1))  # register 1 holds 0
     assert res.done and res.cause == "found_query"
     assert res.reward == 10.0 * (1.0 - 1.0 / 81.0)
 
-    env.set_latent(40, 19)
+    set_search_latent(env, 40, 19)
     res = None
     for _ in range(2 * 40 + 1):
         res = env.step(SearchAction(OP_DIV, 2))  # never compares
@@ -287,7 +288,7 @@ def test_trace_dump_format():
 
 def test_play_sends_a_generator_script_each_observation():
     env = make_env(TaskId.BINARY_SEARCH, 0)
-    env.set_latent(64, 5)
+    set_search_latent(env, 64, 5)
     sent = []
 
     def script():  # a linear search that keeps what it is sent

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from urex.envs import TaskId, make_env
-from urex.envs.bandit import BanditEnv
-from urex.policy import (LinearBanditPolicy, finite_diff_check, policy_for_env,
-                         sample_trajectory)
+from urex.policy import LinearBanditPolicy, finite_diff_check, policy_for_env
 from urex.types import TrajectoryBatch
+
+from fixed_latents import FixedBanditEnv
+from sampling import sample_trajectory
 
 
 def test_recurrent_gradcheck_copy():
@@ -35,7 +36,7 @@ def test_recurrent_gradcheck_addition_grid():
 
 def test_linear_gradcheck():
     rng = np.random.Generator(np.random.PCG64(2))
-    env = BanditEnv(0, payoffs=rng.random(50), features=rng.standard_normal((50, 30)))
+    env = FixedBanditEnv(0, payoffs=rng.random(50), features=rng.standard_normal((50, 30)))
     env.reset()
     pol = LinearBanditPolicy(30)
     pol.init_params(rng, scale=0.3)

@@ -21,6 +21,8 @@ from urex.policy import (LinearBanditPolicy, ParamVector, load_policy, policy_fo
 from urex.trainers import DoubleQLearner, PolicyGradientTrainer, QConfig
 from urex.types import TrajectoryBatch
 
+from fixed_latents import set_search_latent
+
 
 def tiny_spec(**kw):
     base = dict(task=TaskId.COPY, method="ment", tau=0.0, eta=0.1, clip=10.0,
@@ -256,7 +258,7 @@ def test_manifest_ends_rows_on_their_own_line_and_rejects_inner_damage(tmp_path)
 def test_trace_golden_prefix():
     env = make_env(TaskId.BINARY_SEARCH, 0)
     env.reset()
-    env.set_latent(512, 100)
+    set_search_latent(env, 512, 100)
     text = render_trace(env, "oracle", strategy="binary")
     lines = text.splitlines()
     assert lines[0].split() == ["R0", "R1", "R2", "s", "a"]
@@ -506,6 +508,22 @@ def test_cli_refuses_a_max_len_below_the_first_probe_length(tmp_path, capsys, gi
     assert "below the first probe length 30" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generalize", "--checkpoint", "oracle", "--task", "Copy"], "--episodes"),
+    (["bandit"], "--repeats"), (["bandit"], "--restarts"), (["bandit"], "--steps"),
+    (["bandit"], "--actions"), (["bandit"], "--dim")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_refuses_a_count_below_one(tmp_path, capsys, argv, flag, value):
+    from urex.harness.cli import main
+
+    with pytest.raises(SystemExit) as exit:
+        main([*argv, flag, value, "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    assert (f"error: argument {flag}: expected a positive integer, got {value!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 def small_checkpoint(tmp_path, kind):
     """A freshly initialised net saved as ``<kind>.ckpt``: a recurrent policy

@@ -10,13 +10,14 @@ import pytest
 
 from urex.envs import (TAPE_TASKS, Env, EpisodeError, TapeLatents, TaskId, draw_latents,
                        make_env)
-from urex.envs.bandit import BanditEnv
 from urex.policy import (LinearBanditPolicy, RecurrentPolicy, load_policy,
-                         policy_for_env, sample_trajectory, save_policy)
+                         policy_for_env, save_policy)
 from urex.trainers import DoubleQLearner, QConfig
 from urex.types import TrajectoryBatch
 
+from fixed_latents import FixedBanditEnv
 from joint_action import JointActionView
+from sampling import sample_trajectory
 from test_forward_spec import split_heads
 
 
@@ -209,6 +210,11 @@ def test_replay_of_batch_and_of_its_trajectories_agree():
     assert_same_caches(cache_batch, cache_list)
 
 
+def test_a_batch_of_no_trajectories_is_refused_by_name():
+    with pytest.raises(ValueError, match="at least one trajectory, got none"):
+        TrajectoryBatch.from_trajectories([])
+
+
 def pcg(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -363,7 +369,7 @@ def test_greedy_invariant_under_logit_rescaling():
 
 
 def test_sampling_frequencies_match_probabilities():
-    env = BanditEnv(0, payoffs=np.zeros(4))
+    env = FixedBanditEnv(0, payoffs=np.zeros(4))
     env.reset()
     pol = LinearBanditPolicy(4)  # zero weights: uniform over 4 arms
     rng = np.random.Generator(np.random.PCG64(9))
@@ -420,7 +426,7 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
 
 def test_linear_policy_log_prob_and_grad():
     rng = np.random.Generator(np.random.PCG64(3))
-    env = BanditEnv(0, payoffs=rng.random(6), features=rng.standard_normal((6, 4)))
+    env = FixedBanditEnv(0, payoffs=rng.random(6), features=rng.standard_normal((6, 4)))
     env.reset()
     pol = LinearBanditPolicy(4)
     pol.init_params(rng, scale=0.5)

@@ -7,6 +7,8 @@ from urex.envs.search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, OP_AVG,
                               OP_CMP, OP_DIV, OP_INC, SearchAction,
                               scripted_binary_search, scripted_linear_search)
 
+from fixed_latents import set_search_latent
+
 # Golden episode: array size 512, query at position 100, replayed from the
 # initial registers (512, 0, 0).  Each row is (registers-before, obs-before,
 # action); the final comparison hits the query at step 32.
@@ -49,7 +51,7 @@ GOLDEN_FINAL = ((128, 112, 100), CMP_EQ)
 
 
 def replay_golden(env):
-    obs = env.set_latent(512, 100)
+    obs = set_search_latent(env, 512, 100)
     for regs, obs_expected, action in GOLDEN_ROWS:
         assert tuple(env.registers) == regs
         assert obs == obs_expected
@@ -69,7 +71,7 @@ def test_golden_trace_replay():
 
 def test_scripted_binary_search_matches_golden_prefix():
     env = make_env(TaskId.BINARY_SEARCH, 0)
-    env.set_latent(512, 100)
+    set_search_latent(env, 512, 100)
     actions, rewards, _ = scripted_binary_search(env)
     golden_actions = [row[2] for row in GOLDEN_ROWS]
     # identical play until the golden agent leaves the pure halving pattern
@@ -80,7 +82,7 @@ def test_scripted_binary_search_matches_golden_prefix():
 def test_scripted_linear_search_step_count():
     env = make_env(TaskId.BINARY_SEARCH, 0)
     for pos in (0, 1, 7, 31):
-        env.set_latent(64, pos)
+        set_search_latent(env, 64, pos)
         actions, rewards, _ = scripted_linear_search(env)
         assert len(actions) == 2 * pos + 1
         assert rewards[-1] == 10.0 * (1.0 - (2 * pos + 1) / 129.0)
@@ -100,7 +102,7 @@ def test_scripted_searches_always_succeed():
 
 def test_golden_episode_dump_lines():
     env = make_env(TaskId.BINARY_SEARCH, 0)
-    env.set_latent(512, 100)
+    set_search_latent(env, 512, 100)
     observations, actions, results = play(env, [row[2] for row in GOLDEN_ROWS])
     assert observations == [row[1] for row in GOLDEN_ROWS]
     assert actions == [row[2] for row in GOLDEN_ROWS]

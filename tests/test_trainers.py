@@ -8,7 +8,6 @@ import pytest
 
 from urex.curriculum import LENGTH_FLOOR, CurriculumState
 from urex.envs.base import COMPLETED, Env, RowStepper, StepResult
-from urex.envs.bandit import BanditEnv
 from urex.envs import TaskId, make_env
 from urex.harness import make_spec
 from urex.harness.trial import env_factory_for
@@ -17,6 +16,8 @@ from urex.trainers import policy_gradient, qlearning
 from urex.trainers import (AdamState, DoubleQLearner, PolicyGradientTrainer,
                            QConfig, TrainConfig, update)
 from urex.types import Trajectory, TrajectoryBatch
+
+from fixed_latents import FixedBanditEnv
 
 
 class ChainEnv(Env):
@@ -56,14 +57,14 @@ class FixedBandit:
         self.payoffs = payoffs
 
     def latents(self, seeds, lengths):
-        envs = [BanditEnv(0, payoffs=self.payoffs) for _ in seeds]
+        envs = [FixedBanditEnv(0, payoffs=self.payoffs) for _ in seeds]
         for env in envs:
             env.reset()
         return envs
 
 
 def two_arm_env():
-    env = BanditEnv(0, payoffs=[1.0, 0.0])
+    env = FixedBanditEnv(0, payoffs=[1.0, 0.0])
     env.reset()
     return env
 
@@ -92,7 +93,7 @@ def test_two_arm_bandit_improves(method, tau):
 
 
 def test_metrics_schema_every_step():
-    env = BanditEnv(0, payoffs=[0.8, 0.2, 0.1])
+    env = FixedBanditEnv(0, payoffs=[0.8, 0.2, 0.1])
     cfg = TrainConfig(method="urex", tau=0.1, learning_rate=0.05, clip_norm=5.0,
                       k=4, n=2, seed=3)
     pol = LinearBanditPolicy(3)
@@ -214,6 +215,14 @@ def chain_q_values(learner):
     return online_q_values(learner, probe)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("eps_start", 1.5, "epsilon must lie in"), ("eps_end", -0.1, "epsilon must lie in"),
+    ("sync_every", 0, "sync_every must be >= 1"), ("eps_decay_steps", 0, "eps_decay_steps must be >= 1")])
+def test_q_config_refuses_a_value_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        QConfig(**{field: value})
+
+
 def test_q_learning_matches_value_iteration():
     # value iteration on the chain at discount 0.9:
     #   Q(s1, stop) = 2, Q(s1, other) = 0
@@ -231,7 +240,7 @@ def test_q_learning_matches_value_iteration():
 def test_q_terminal_target_is_reward():
     cfg = QConfig(eps_start=1.0, eps_end=1.0, sync_every=10, learning_rate=0.05,
                   discount=0.9, hidden_size=8, seed=1)
-    env = BanditEnv(0, payoffs=[1.0, 0.0])
+    env = FixedBanditEnv(0, payoffs=[1.0, 0.0])
     learner = DoubleQLearner(env, cfg)
     for _ in range(400):
         learner.train_step(env)
@@ -245,7 +254,7 @@ def test_q_solves_two_arm_bandit_greedy():
     for seed in range(5):
         cfg = QConfig(eps_start=1.0, eps_end=0.1, eps_decay_steps=300, sync_every=10,
                       learning_rate=0.05, discount=0.99, hidden_size=8, seed=seed)
-        env = BanditEnv(0, payoffs=[1.0, 0.0])
+        env = FixedBanditEnv(0, payoffs=[1.0, 0.0])
         learner = DoubleQLearner(env, cfg)
         for _ in range(500):
             learner.train_step(env)
@@ -257,7 +266,7 @@ def test_q_solves_two_arm_bandit_greedy():
 def test_q_full_exploration_uniform_actions():
     cfg = QConfig(eps_start=1.0, eps_end=1.0, sync_every=1000, learning_rate=1e-4,
                   hidden_size=8, seed=2)
-    env = BanditEnv(0, payoffs=np.zeros(4))
+    env = FixedBanditEnv(0, payoffs=np.zeros(4))
     learner = DoubleQLearner(env, cfg)
     counts = np.zeros(4)
     n = 4000
@@ -279,7 +288,7 @@ def test_q_full_exploration_uniform_actions():
 
 def test_q_target_sync_cadence():
     cfg = QConfig(sync_every=5, hidden_size=8, seed=3, eps_start=1.0, eps_end=1.0)
-    env = BanditEnv(0, payoffs=[0.5, 0.5])
+    env = FixedBanditEnv(0, payoffs=[0.5, 0.5])
     learner = DoubleQLearner(env, cfg)
     for i in range(1, 10):
         learner.train_step(env)
