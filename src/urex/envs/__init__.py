@@ -12,10 +12,9 @@ import enum
 from .bandit import BanditEnv, bandit_payoffs
 from .base import (COMPLETED, FOUND_QUERY, STEP_LIMIT, WRONG_EMISSION, Env,
                    EpisodeError, RowStepper, StepResult, play)
-from .oracles import oracle_rollout
+from .oracles import oracle_rollout, oracle_script
 from .search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, BinarySearchEnv,
-                     SearchAction, action_from_index, action_index,
-                     scripted_binary_search, scripted_linear_search)
+                     SearchAction, action_from_index, action_index)
 from .tape import (CopyEnv, DuplicatedInputEnv, RepeatCopyEnv, ReverseEnv,
                    ReversedAdditionEnv, TapeAction, TapeEnv, TapeLatents, TapeLockstep,
                    lockstep, repeat_envs)

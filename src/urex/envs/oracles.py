@@ -10,22 +10,22 @@ from .tape import (MOVE_LEFT, MOVE_RIGHT, CopyEnv, DuplicatedInputEnv,
                    TapeEnv)
 
 
-def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:
-    """Run a scripted perfect policy on a fresh episode of ``env``.
-
-    Tape tasks walk the pointer and emit the target directly; the search
-    task runs the scripted linear or binary search.  The returned
-    trajectory has ``log_prob`` 0 since no policy was involved.
-    """
+def oracle_script(env: Env, strategy: str = "binary"):
+    """The scripted perfect policy for a fresh episode of ``env``, as ``play`` takes
+    it: a tape task's action list, or the search task's linear or binary script."""
     if isinstance(env, BinarySearchEnv):
         scripts = {"linear": _linear_script, "binary": _binary_script}
         if strategy not in scripts:
             raise EpisodeError(f"unknown search strategy {strategy!r}")
-        script = scripts[strategy](env)
-    elif isinstance(env, TapeEnv):
-        script = _tape_oracle_actions(env)
-    else:
-        raise EpisodeError(f"no oracle for task {type(env).__name__}")
+        return scripts[strategy](env)
+    if isinstance(env, TapeEnv):
+        return _tape_oracle_actions(env)
+    raise EpisodeError(f"no oracle for task {type(env).__name__}")
+
+
+def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:
+    """Play ``oracle_script(env, strategy)``; the trajectory's ``log_prob`` is 0."""
+    script = oracle_script(env, strategy)
     observations, actions, results = play(env, script)
     if isinstance(env, BinarySearchEnv):
         actions = [(action_index(a),) for a in actions]  # store head-index tuples

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import cycle
 from typing import NamedTuple
 
-from .base import FOUND_QUERY, STEP_LIMIT, Env, StepResult, play
+from .base import FOUND_QUERY, STEP_LIMIT, Env, StepResult
 
 OP_INC, OP_DIV, OP_AVG, OP_CMP = 0, 1, 2, 3
 
@@ -102,13 +102,16 @@ class BinarySearchEnv(Env):
 
 
 def _linear_script(env: BinarySearchEnv):
-    """CMP(2), INC(2), CMP(2), ... without end; ``env`` is unused."""
+    """Probe 0, 1, 2, ... with CMP(2), INC(2), ...: position p is found in 2p + 1 steps."""
     return cycle((SearchAction(OP_CMP, 2), SearchAction(OP_INC, 2)))
 
 
 def _binary_script(env: BinarySearchEnv):
-    """The binary search's actions: each CMP is sent its observation, and
-    each AVG's probe value is read from the register it set."""
+    """Halve the candidate range with AVG/CMP, using DIV while the low end is 0.
+
+    The registers rotate through low / high / probe roles.  A probe costs one AVG
+    and one CMP, whose observation it is sent: about ``2 log2(n)`` steps in all.
+    """
     lo_reg, hi_reg, probe_reg = 1, 0, 2
     lo_val = 0
     while True:
@@ -124,25 +127,3 @@ def _binary_script(env: BinarySearchEnv):
         else:  # CMP_GT
             lo_reg, probe_reg = probe_reg, lo_reg
             lo_val = probe_val
-
-
-def scripted_linear_search(env: BinarySearchEnv):
-    """Probe positions 0, 1, 2, ... via CMP(2) / INC(2) until the query is hit.
-
-    Restarts ``env``.  Returns (actions, rewards, observations); finding
-    position p takes 2p + 1 steps.
-    """
-    observations, actions, results = play(env, _linear_script(env))
-    return actions, [res.reward for res in results], observations
-
-
-def scripted_binary_search(env: BinarySearchEnv):
-    """Halve the candidate range with AVG/CMP, using DIV while the low end is 0.
-
-    The three registers rotate through low / high / probe roles; a fresh
-    probe costs one AVG and one CMP, so the query is found in roughly
-    ``2 log2(n)`` steps plus the leading DIV halvings.  Restarts ``env``.
-    Returns (actions, rewards, observations).
-    """
-    observations, actions, results = play(env, _binary_script(env))
-    return actions, [res.reward for res in results], observations

@@ -61,11 +61,24 @@ def _probe_lengths(max_len) -> list[int]:
     return lengths
 
 
-def _count(value) -> int:
-    """A count flag's value: an integer of at least 1."""
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
-    return int(value)
+def _ranged(cast, positive):
+    """A numeric flag's type: finite, and above 0 if ``positive``, else at least 0."""
+    sign = "positive" if positive else "non-negative"
+    kind = f"{sign} {'integer' if cast is int else 'finite number'}"
+
+    def parse(value):
+        number = cast(value)
+        if not (0 < number < math.inf if positive else 0 <= number < math.inf):
+            raise argparse.ArgumentTypeError(f"expected a {kind}, got {value!r}")
+        return number
+    parse.__name__ = cast.__name__  # not a number: argparse's "invalid int value"
+    return parse
+
+
+_count = _ranged(int, positive=True)
+_whole = _ranged(int, positive=False)  # seeds; run's --steps 0 means the profile's budget
+_positive = _ranged(float, positive=True)
+_nonnegative = _ranged(float, positive=False)
 
 
 def _load_fitting(path, task):
@@ -150,11 +163,11 @@ def main(argv=None):
     p = sub.add_parser("run", help="train one trial")
     p.add_argument("--task", type=_task, required=True)
     p.add_argument("--method", choices=["ment", "urex", "qlearn"], required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--clip", type=float)
-    p.add_argument("--seed", type=int, dest="restart_seed")
-    p.add_argument("--steps", type=int, dest="max_steps")
+    p.add_argument("--tau", type=_nonnegative, required=True)
+    p.add_argument("--eta", type=_positive)
+    p.add_argument("--clip", type=_positive)
+    p.add_argument("--seed", type=_whole, dest="restart_seed")
+    p.add_argument("--steps", type=_whole, dest="max_steps")
     p.add_argument("--profile", choices=sorted(PROFILES))
     _add_common(p)
     p.set_defaults(func=cmd_run)
@@ -162,7 +175,7 @@ def main(argv=None):
     p = sub.add_parser("grid", help="eta x clip x restart robustness grid")
     p.add_argument("--task", type=_task, required=True)
     p.add_argument("--method", choices=["ment", "urex", "qlearn"], required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--tau", type=_nonnegative, required=True)
     p.add_argument("--profile", choices=sorted(PROFILES), default=DEFAULT_PROFILE)
     _add_common(p)
     p.set_defaults(func=cmd_grid)
@@ -172,24 +185,24 @@ def main(argv=None):
     p.add_argument("--task", type=lambda name: _task(name, TAPE_TASKS), required=True)
     p.add_argument("--max-len", type=_probe_lengths, dest="lengths", metavar="MAX_LEN")
     p.add_argument("--episodes", type=_count, dest="episodes_per_length")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_whole)
     _add_common(p)
     p.set_defaults(func=cmd_generalize)
 
     p = sub.add_parser("bandit", help="large-action bandit method comparison")
     p.add_argument("--actions", type=_count, dest="num_actions")
     p.add_argument("--dim", type=_count)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--beta", type=_nonnegative)
     p.add_argument("--repeats", type=_count)
     p.add_argument("--restarts", type=_count)
     p.add_argument("--steps", type=_count)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_whole)
     _add_common(p)
     p.set_defaults(func=cmd_bandit)
 
     p = sub.add_parser("trace", help="print one episode trace")
     p.add_argument("--task", type=_task, required=True)
-    p.add_argument("--seed", type=int, default=0, help="episode seed (default 0)")
+    p.add_argument("--seed", type=_whole, default=0, help="episode seed (default 0)")
     p.add_argument("--checkpoint")
     p.add_argument("--strategy", choices=["linear", "binary"])
     _add_common(p)
@@ -202,6 +215,8 @@ def main(argv=None):
     pre.add_argument("--config", type=_config_flags, default=[])
     argv[1:1] = pre.parse_known_args(argv)[0].config
     args = parser.parse_args(argv)
+    if getattr(args, "method", None) == "urex" and args.tau == 0:  # run and grid
+        sub.choices[args.command].error("argument --tau: --method urex needs tau > 0")
     try:
         args.func(args)
         sys.stdout.flush()  # a reader that closed early fails here, not at exit

@@ -35,8 +35,9 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "urex" and self.tau <= 0:
             raise ValueError("urex requires tau > 0")
-        if self.tau < 0 or self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("tau >= 0, learning_rate > 0 and clip_norm > 0 required")
+        if not (0 <= self.tau < np.inf and 0 < self.learning_rate < np.inf
+                and 0 < self.clip_norm < np.inf):
+            raise ValueError("finite tau >= 0, learning_rate > 0 and clip_norm > 0 required")
         if self.k < 2:
             raise ValueError("K >= 2 required for within-group centering")
 

@@ -39,6 +39,8 @@ class QConfig:
             raise ValueError("sync_every must be >= 1")
         if self.eps_decay_steps < 1:
             raise ValueError("eps_decay_steps must be >= 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
     def epsilon(self, step: int) -> float:
         frac = min(1.0, step / self.eps_decay_steps)

@@ -15,8 +15,7 @@ import pytest
 from urex.analysis import (SmallProblem, optimal_policy_rl,
                            optimal_policy_urex, urex_objective)
 from urex.curriculum import CurriculumState
-from urex.envs import TaskId, make_env, oracle_rollout
-from urex.envs.search import scripted_linear_search
+from urex.envs import TaskId, make_env, oracle_rollout, oracle_script, play
 from urex.harness import BanditExperimentConfig, make_spec, run_bandit_experiment, run_trial
 from urex.policy import LinearBanditPolicy, finite_diff_check, policy_for_env
 from urex.trainers import DoubleQLearner, QConfig, importance_weights
@@ -193,8 +192,8 @@ def test_criterion_06_scripted_search_rewards():
     linear_total = 0.0
     for _ in range(episodes):
         env.reset()
-        _, rewards, _ = scripted_linear_search(env)
-        linear_total += rewards[-1]
+        _, _, results = play(env, oracle_script(env, "linear"))
+        linear_total += results[-1].reward
     linear_mean = linear_total / episodes
 
     env = make_env(TaskId.BINARY_SEARCH, 20_240_602)

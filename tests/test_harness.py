@@ -525,6 +525,42 @@ def test_cli_refuses_a_count_below_one(tmp_path, capsys, argv, flag, value):
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
+
+_RUN_MENT = ["run", "--task", "Copy", "--method", "ment", "--tau", "0.01", "--profile", "desk",
+             "--steps", "1"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_RUN_MENT, "--tau", "nan"), (_RUN_MENT, "--tau", "-1"),
+    (["run", "--task", "Copy", "--method", "urex", "--profile", "desk"], "--tau", "0"),
+    (["grid", "--task", "Copy", "--method", "urex", "--profile", "desk"], "--tau", "0"),
+    (_RUN_MENT, "--eta", "0"),
+    (["run", "--task", "Copy", "--method", "qlearn", "--tau", "0", "--profile", "desk",
+      "--steps", "1"], "--eta", "-1"),
+    (_RUN_MENT, "--clip", "0"), (_RUN_MENT, "--clip", "inf"),
+    (_RUN_MENT, "--seed", "-1"), (_RUN_MENT, "--steps", "-1"),
+    (["generalize", "--checkpoint", "oracle", "--task", "Copy", "--max-len", "30",
+      "--episodes", "1"], "--seed", "-1"),
+    (["bandit", "--actions", "5", "--repeats", "1", "--restarts", "1", "--steps", "2"],
+     "--seed", "-1"),
+    (["bandit", "--actions", "5", "--repeats", "1", "--restarts", "1", "--steps", "2"],
+     "--beta", "-1"),
+    (["trace", "--task", "Copy"], "--seed", "-1")],
+    ids=lambda arg: " ".join(arg) if isinstance(arg, list) else arg)
+def test_cli_refuses_a_number_out_of_range_before_writing(tmp_path, capsys, argv, flag, value):
+    from urex.harness.cli import main
+
+    with pytest.raises(SystemExit) as exit:
+        main([*argv, flag, value, "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_steps_zero_keeps_the_profile_budget(tmp_path, monkeypatch):
+    spec = _run_spec(monkeypatch, [*_RUN_MENT[:-1], "0", "--out", str(tmp_path)])
+    assert spec == make_spec(TaskId.COPY, "ment", 0.01, profile="desk")
+
 def small_checkpoint(tmp_path, kind):
     """A freshly initialised net saved as ``<kind>.ckpt``: a recurrent policy
     for a task, the Copy Q-learner's online net ("qlearn") or a bandit

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
 _SPEC = importlib.util.spec_from_file_location("same_bits", _PATH)
 same_bits = importlib.util.module_from_spec(_SPEC)
@@ -74,20 +76,29 @@ def test_cli_digests_cover_each_file_and_trace_of_the_command_line_runs(tmp_path
     assert len(set(digests.values())) == len(digests) - 3  # the config run repeats the flags'
 
 
-
 def test_search_digests_cover_both_scripts_and_both_oracle_strategies(monkeypatch):
-    from urex.envs import TaskId, make_env, scripted_binary_search
+    from urex.envs import TaskId, make_env, oracle_rollout, oracle_script, play
 
     monkeypatch.setattr(same_bits, "SEARCH_EPISODES", 3)
     digests = same_bits.search_digests()
-    assert sorted(digests) == sorted([
-        "scripted linear search episodes", "scripted binary search episodes",
-        "oracle linear search episodes", "oracle binary search episodes"])
+    assert sorted(digests) == ["oracle binary search episodes", "oracle linear search episodes"]
     episodes = []
     for seed in same_bits.SEARCH_SEEDS:
         env = make_env(TaskId.BINARY_SEARCH, seed)
         for _ in range(3):
             env.reset()
-            episodes.append(scripted_binary_search(env))
-    assert digests["scripted binary search episodes"] == same_bits.sha(repr(episodes))
-    assert len(set(digests.values())) == 4
+            episode = oracle_rollout(env, "binary")
+            observations, _, results = play(env, oracle_script(env, "binary"))
+            assert (episode.observations, episode.rewards) == (
+                observations, [res.reward for res in results])
+            episodes.append(episode)
+    assert digests["oracle binary search episodes"] == same_bits.sha(repr(episodes))
+    assert len(set(digests.values())) == 2
+
+
+def test_golden_digests_match_the_file_for_this_build():
+    golden = json.loads((_PATH.parent / "digests.json").read_text())
+    build, digests = same_bits.golden_digests(_PATH.parents[1])
+    if build not in golden:
+        pytest.skip(f"tools/digests.json records no digests for this build: {build}")
+    assert same_bits.mismatches(golden[build], digests) == []

@@ -1,11 +1,12 @@
 """Scripted searches and the golden register-machine trace."""
 
 import numpy as np
+import pytest
 
-from urex.envs import TaskId, make_env, oracle_rollout, play
+from urex.envs import (BanditEnv, EpisodeError, TaskId, make_env, oracle_rollout, oracle_script,
+                       play)
 from urex.envs.search import (CMP_EQ, CMP_GT, CMP_LT, CMP_NONE, OP_AVG,
-                              OP_CMP, OP_DIV, OP_INC, SearchAction,
-                              scripted_binary_search, scripted_linear_search)
+                              OP_CMP, OP_DIV, OP_INC, SearchAction)
 
 from fixed_latents import set_search_latent
 
@@ -69,23 +70,23 @@ def test_golden_trace_replay():
     assert abs(res.reward - 10.0 * (1.0 - 32.0 / 1025.0)) < 1e-12
 
 
-def test_scripted_binary_search_matches_golden_prefix():
+def test_binary_script_matches_golden_prefix():
     env = make_env(TaskId.BINARY_SEARCH, 0)
     set_search_latent(env, 512, 100)
-    actions, rewards, _ = scripted_binary_search(env)
+    _, actions, results = play(env, oracle_script(env, "binary"))
     golden_actions = [row[2] for row in GOLDEN_ROWS]
     # identical play until the golden agent leaves the pure halving pattern
     assert actions[:12] == golden_actions[:12]
-    assert rewards[-1] > 0 and env.done
+    assert results[-1].reward > 0 and env.done
 
 
-def test_scripted_linear_search_step_count():
+def test_linear_script_step_count():
     env = make_env(TaskId.BINARY_SEARCH, 0)
     for pos in (0, 1, 7, 31):
         set_search_latent(env, 64, pos)
-        actions, rewards, _ = scripted_linear_search(env)
+        _, actions, results = play(env, oracle_script(env, "linear"))
         assert len(actions) == 2 * pos + 1
-        assert rewards[-1] == 10.0 * (1.0 - (2 * pos + 1) / 129.0)
+        assert results[-1].reward == 10.0 * (1.0 - (2 * pos + 1) / 129.0)
 
 
 def test_scripted_searches_always_succeed():
@@ -96,8 +97,8 @@ def test_scripted_searches_always_succeed():
         traj = oracle_rollout(env, "binary")
         assert traj.total_reward > 0
         env.restart()
-        actions, rewards, _ = scripted_linear_search(env)
-        assert rewards[-1] > 0
+        _, _, results = play(env, oracle_script(env, "linear"))
+        assert results[-1].reward > 0
 
 
 def test_golden_episode_dump_lines():
@@ -119,7 +120,20 @@ def test_scripted_search_mean_rewards_small_sample():
         env.reset()
         binary.append(oracle_rollout(env, "binary").total_reward)
         env.restart()
-        _, rewards, _ = scripted_linear_search(env)
-        lin.append(sum(rewards))
+        _, _, results = play(env, oracle_script(env, "linear"))
+        lin.append(sum(res.reward for res in results))
     assert abs(np.mean(lin) - 5.0) < 0.2
     assert np.mean(binary) > 9.55
+
+
+def test_oracle_script_is_what_play_takes_and_refuses_what_has_no_oracle():
+    tape = make_env(TaskId.REVERSE, 3)
+    tape.reset()
+    script = oracle_script(tape)
+    _, actions, results = play(tape, script)
+    assert actions == script and results[-1].done
+    assert sum(res.reward for res in results) == tape.max_total_reward()
+    with pytest.raises(EpisodeError, match="unknown search strategy 'ternary'"):
+        oracle_script(make_env(TaskId.BINARY_SEARCH, 0), "ternary")
+    with pytest.raises(EpisodeError, match="no oracle for task BanditEnv"):
+        oracle_script(BanditEnv(0, num_actions=3, beta=1.0, dim=2))

@@ -151,6 +151,14 @@ def test_train_config_validation():
         TrainConfig(method="ment", tau=0.1, learning_rate=0.1, clip_norm=1.0, k=1)
 
 
+@pytest.mark.parametrize("field", ["tau", "learning_rate", "clip_norm"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_train_config_refuses_a_non_finite_value(field, value):
+    given = dict(method="ment", tau=0.01, learning_rate=0.1, clip_norm=1.0)
+    with pytest.raises(ValueError, match="finite tau >= 0"):
+        TrainConfig(**{**given, field: value})
+
+
 def keep_weakrefs(policy, method, refs):
     """Wrap ``policy.<method>`` (rollout or replay) to append to ``refs`` a
     weak reference to the first record of each list of step records it
@@ -217,7 +225,9 @@ def chain_q_values(learner):
 
 @pytest.mark.parametrize("field, value, message", [
     ("eps_start", 1.5, "epsilon must lie in"), ("eps_end", -0.1, "epsilon must lie in"),
-    ("sync_every", 0, "sync_every must be >= 1"), ("eps_decay_steps", 0, "eps_decay_steps must be >= 1")])
+    ("sync_every", 0, "sync_every must be >= 1"), ("eps_decay_steps", 0, "eps_decay_steps must be >= 1"),
+    *[("learning_rate", value, "learning_rate must be finite and > 0")
+      for value in (0.0, -0.01, np.nan, np.inf)]])
 def test_q_config_refuses_a_value_out_of_range(field, value, message):
     with pytest.raises(ValueError, match=message):
         QConfig(**{field: value})

@@ -19,10 +19,9 @@ compared:
   runs it, and one sweep per length of ``SWEPT_LENGTHS`` on the trained
   policy of the trial ``SWEPT_TRIAL`` (a sweep stops at its first
   imperfect length, so one sweep of both would probe only the first);
-- the scripted searches: the ``(actions, rewards, observations)`` of
-  ``scripted_linear_search`` and ``scripted_binary_search``, and the
-  episodes of ``oracle_rollout`` under both strategies, each over
-  ``SEARCH_EPISODES`` reset episodes of every ``SEARCH_SEEDS`` env;
+- the scripted searches: the episodes of ``oracle_rollout`` under both
+  strategies, each over ``SEARCH_EPISODES`` reset episodes of every
+  ``SEARCH_SEEDS`` env;
 - ``urex`` command-line runs (``CLI_RUNS``): the file names, metrics
   rows without ``wall_ms`` and checkpoint bytes of a 3-step desk ``urex
   run``, given by flags and again with its optional values in a config
@@ -61,6 +60,10 @@ TRIALS = [("Copy", "urex", 0.1, 0.1, 1.0, 120, "desk"),
           ("ReversedAddition", "urex", 0.1, 0.1, 10.0, 30, "desk"),
           ("DuplicatedInput", "ment", 0.01, 0.1, 10.0, 3, "full")]
 TRIAL_SEEDS = (0, 1, 2)
+# The fast stand-in for TRIALS whose digests ``--write`` records per build, beside the
+# other digests but the benchmark's: 3 steps of each desk trial but BinarySearch's,
+# and the full-profile trial.
+GOLDEN_TRIALS = [(*trial[:5], 3, trial[6]) for trial in TRIALS if trial[0] != "BinarySearch"]
 SWEPT_TRIAL, SWEPT_LENGTHS = "Copy/urex/120/seed0", (30, 100)
 ORACLE_SWEEP_LENGTHS, ORACLE_SWEEP_EPISODES = (30, 100), 5
 SEARCH_SEEDS, SEARCH_EPISODES = (0, 1), 200  # BinarySearchEnv seeds, episodes of each
@@ -145,24 +148,19 @@ class Probe:
 
 
 def search_digests() -> dict:
-    """Digests of the scripted searches and of the search oracle's two
-    strategies, run with the ``urex`` on ``sys.path``."""
-    from urex.envs import (TaskId, make_env, oracle_rollout, scripted_binary_search,
-                           scripted_linear_search)
+    """Digests of the search oracle's episodes under its two strategies,
+    run with the ``urex`` on ``sys.path``."""
+    from urex.envs import TaskId, make_env, oracle_rollout
 
-    runs = {"scripted linear search": scripted_linear_search,
-            "scripted binary search": scripted_binary_search,
-            "oracle linear search": lambda env: oracle_rollout(env, "linear"),
-            "oracle binary search": lambda env: oracle_rollout(env, "binary")}
     digests = {}
-    for name, run in runs.items():
+    for strategy in ("linear", "binary"):
         episodes = []
         for seed in SEARCH_SEEDS:
             env = make_env(TaskId.BINARY_SEARCH, seed)
             for _ in range(SEARCH_EPISODES):
                 env.reset()
-                episodes.append(run(env))
-        digests[f"{name} episodes"] = sha(repr(episodes))
+                episodes.append(oracle_rollout(env, strategy))
+        digests[f"oracle {strategy} search episodes"] = sha(repr(episodes))
     return digests
 
 
@@ -205,8 +203,9 @@ def cli_digests(tmp: Path) -> dict:
     return digests
 
 
-def trial_digests() -> dict:
-    """Digests of the fixed trials, run with the ``urex`` on ``sys.path``."""
+def trial_digests(trials=TRIALS) -> dict:
+    """Digests of ``trials`` and of everything else the tool compares but the
+    benchmark runs, run with the ``urex`` on ``sys.path``."""
     import math
 
     import urex
@@ -217,7 +216,7 @@ def trial_digests() -> dict:
         raise SystemExit(f"imported urex from {urex.__file__}, not from {Path.cwd()}")
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for task, method, tau, eta, clip, steps, profile in TRIALS:
+        for task, method, tau, eta, clip, steps, profile in trials:
             for seed in TRIAL_SEEDS:
                 spec = make_spec(TaskId(task), method, tau, eta=eta, clip=clip,
                                  restart_seed=seed, profile=profile, max_steps=steps,
@@ -249,6 +248,31 @@ def trial_digests() -> dict:
     return digests
 
 
+def build_key() -> str:
+    """What bits depend on beyond the code: numpy's version and the OpenBLAS
+    configuration loaded at run time, which names the kernel it picked."""
+    import numpy as np
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    from common import blas_runtime_config
+
+    return f"numpy {np.__version__}, {blas_runtime_config()}"
+
+
+def golden_digests(checkout: Path) -> tuple[str, dict]:
+    """The build key and the digests of ``trial_digests(GOLDEN_TRIALS)`` for
+    ``checkout``, from a child process that imports its ``urex`` at
+    ``OPENBLAS_NUM_THREADS=1``."""
+    child = subprocess.run([sys.executable, __file__, "--golden-only"], cwd=checkout,
+                           env={**os.environ, "PYTHONPATH": str(checkout / "src"),
+                                "OPENBLAS_NUM_THREADS": "1"},
+                           capture_output=True, text=True)
+    if child.returncode:
+        raise SystemExit(f"{checkout}: golden trials failed:\n{child.stderr}")
+    found = json.loads(child.stdout)
+    return found["build"], found["digests"]
+
+
 def side_digests(checkout: Path) -> dict:
     from bench_pairs import run_once  # beside this file
 
@@ -269,10 +293,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, help="checkout of the change")
+    ap.add_argument("--write", type=Path, metavar="JSON",
+                    help="record this checkout's golden digests for this build")
     ap.add_argument("--trials-only", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--golden-only", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.trials_only:  # the child process: urex comes from PYTHONPATH
+    if args.trials_only:  # the child processes: urex comes from PYTHONPATH
         print(json.dumps(trial_digests()))
+        return 0
+    if args.golden_only:
+        print(json.dumps({"build": build_key(), "digests": trial_digests(GOLDEN_TRIALS)}))
+        return 0
+    if args.write:
+        build, digests = golden_digests(Path(__file__).resolve().parents[1])
+        recorded = json.loads(args.write.read_text()) if args.write.exists() else {}
+        recorded[build] = digests
+        args.write.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+        print(f"{args.write}: {len(digests)} digests for {build}")
         return 0
     if args.parent is None or args.change is None:
         ap.error("--parent and --change are required")
