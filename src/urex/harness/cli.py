@@ -61,6 +61,9 @@ def _probe_lengths(max_len) -> list[int]:
     return lengths
 
 
+_probe_lengths.__name__ = "int"  # not an integer: argparse's "invalid int value"
+
+
 def _ranged(cast, positive):
     """A numeric flag's type: finite, and above 0 if ``positive``, else at least 0."""
     sign = "positive" if positive else "non-negative"
@@ -174,7 +177,7 @@ def main(argv=None):
 
     p = sub.add_parser("grid", help="eta x clip x restart robustness grid")
     p.add_argument("--task", type=_task, required=True)
-    p.add_argument("--method", choices=["ment", "urex", "qlearn"], required=True)
+    p.add_argument("--method", choices=["ment", "urex"], required=True)
     p.add_argument("--tau", type=_nonnegative, required=True)
     p.add_argument("--profile", choices=sorted(PROFILES), default=DEFAULT_PROFILE)
     _add_common(p)
@@ -215,8 +218,14 @@ def main(argv=None):
     pre.add_argument("--config", type=_config_flags, default=[])
     argv[1:1] = pre.parse_known_args(argv)[0].config
     args = parser.parse_args(argv)
-    if getattr(args, "method", None) == "urex" and args.tau == 0:  # run and grid
-        sub.choices[args.command].error("argument --tau: --method urex needs tau > 0")
+    method = getattr(args, "method", None)
+    error = sub.choices[args.command].error
+    if method == "urex" and args.tau == 0:  # run and grid
+        error("argument --tau: --method urex needs tau > 0")
+    if method == "qlearn" and args.tau != 0:  # run only: Q-learning reads neither tau nor clip
+        error("argument --tau: --method qlearn needs tau 0")
+    if method == "qlearn" and args.clip is not None:
+        error("argument --clip: --method qlearn takes no clip")
     try:
         args.func(args)
         sys.stdout.flush()  # a reader that closed early fails here, not at exit

@@ -53,13 +53,13 @@ class _StepCache:
 class RecurrentPolicy:
     """Single recurrent layer with per-factor categorical heads.
 
-    The heads run fused: their logits sit in one (rows, heads, widest
-    head) array, padded with -inf past each head's size, so one
+    The heads run fused: their logits sit in one row-major (rows, heads,
+    widest head) array, padded with -inf past each head's size, so one
     log-softmax, one sampling pass and one log-prob gather serve every
-    head.  Padding adds only exact zeros to the softmax sums, which run
-    in entry order, so the bits equal per-head work for heads under 8
-    entries wide, the width below which numpy sums a row in order.
-    Heads of one width need no padding and sum as per-head work does.
+    head.  The bits equal per-head work when every head is under 8
+    entries wide, the width below which numpy sums a row in order, so
+    that padding adds only exact zeros after a head's entries; or when
+    all heads share one width, so that there is no padding.
     """
 
     def __init__(self, obs_dim: int, heads, hidden_size: int = 128):
@@ -77,17 +77,8 @@ class RecurrentPolicy:
         self._width = width = max(sizes)
         self._head_offsets = np.cumsum([0] + sizes[:-1])  # each head's first column
         self._input_offsets = self.obs_dim + self._head_offsets
-        # Narrower heads are padded: slot (j, k) of a (widest, heads) layout
-        # reads logit column ``source`` (any column past a head's size,
-        # which ``pad`` then sets to -inf); ``entries`` lists the slots of
-        # head entries in column order.
-        self._padding = None
-        if any(s < width for s in sizes):
-            slots = [(j, k) for j in range(width) for k in range(len(sizes))]
-            source = [self._head_offsets[k] + min(j, sizes[k] - 1) for j, k in slots]
-            pad = [0.0 if j < sizes[k] else -np.inf for j, k in slots]
-            entries = [j * len(sizes) + k for k, s in enumerate(sizes) for j in range(s)]
-            self._padding = (np.array(source), np.array(pad)[:, None], np.array(entries))
+        # slot k * widest + j of a row's heads holds logit column offset_k + j
+        self._slots = np.array([k * width + j for k, s in enumerate(sizes) for j in range(s)])
         self._work_rows = 0  # rows of the kept work block; see _work
 
     def init_params(self, rng: np.random.Generator) -> None:
@@ -218,15 +209,9 @@ class RecurrentPolicy:
                 h_new = h_new.take(inv, axis=0)
             z = h_new @ w_all_t
             z += b_all
-            if self._padding is None:
-                logits = z.reshape(n, K, W)
-            else:
-                # (rows, heads, widest) view of a (widest, heads, rows)
-                # array: reducing over the widest axis then runs over planes
-                source, pad, entries = self._padding
-                logits = z.T.take(source, axis=0)
-                logits += pad
-                logits = logits.reshape(W, K, n).T
+            logits = np.full((n, K * W), -np.inf)
+            logits[:, self._slots] = z
+            logits = logits.reshape(n, K, W)
             logp = logits - logits.max(axis=2, keepdims=True)
             norm = np.exp(logp).sum(axis=2, keepdims=True)
             logp -= np.log(norm, out=norm)
@@ -236,10 +221,7 @@ class RecurrentPolicy:
             keep, obs = advance(t, idx, actions)
             kept = np.flatnonzero(keep)
             if collect:
-                if self._padding is None:
-                    head_probs = probs.reshape(n, K * W)
-                else:
-                    head_probs = probs.T.reshape(W * K, n).take(entries, axis=0).T.copy()
+                head_probs = probs.reshape(n, K * W).take(self._slots, axis=1)
                 cache.append(_StepCache(cols, gates, g, c_new, z, head_probs, actions, idx,
                                         kept, inv if shared else None))
             c = c_new.take(inv[kept] if shared else kept, axis=0)

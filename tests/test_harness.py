@@ -509,6 +509,46 @@ def test_cli_refuses_a_max_len_below_the_first_probe_length(tmp_path, capsys, gi
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_refuses_a_max_len_that_is_not_an_integer_as_other_int_flags(tmp_path, capsys):
+    from urex.harness.cli import main
+
+    with pytest.raises(SystemExit) as exit:
+        main(["generalize", "--checkpoint", "oracle", "--task", "Copy", "--max-len", "x",
+              "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    assert "error: argument --max-len: invalid int value: 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("given, flag", [
+    (["--tau", "5"], "--tau"), (["--tau", "0", "--clip", "10"], "--clip"),
+    (["--tau", "0", "--config", "<file>"], "--clip")], ids=["tau", "clip", "clip in file"])
+def test_cli_qlearn_run_refuses_the_tau_and_clip_it_never_reads(tmp_path, capsys, given, flag):
+    from urex.harness.cli import main
+
+    path = tmp_path / "clip.conf"
+    path.write_text("clip = 10\n")
+    given = [str(path) if arg == "<file>" else arg for arg in given]
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "--task", "Copy", "--method", "qlearn", "--profile", "desk", "--steps", "1",
+              *given, "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    assert f"error: argument {flag}: --method qlearn" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_grid_offers_the_policy_gradient_methods_only(tmp_path, monkeypatch, capsys):
+    from urex.harness import cli
+
+    monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("the grid ran"))
+    with pytest.raises(SystemExit) as exit:
+        cli.main(["grid", "--task", "Copy", "--method", "qlearn", "--tau", "0",
+                  "--profile", "desk", "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    assert "argument --method: invalid choice: 'qlearn'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 
 @pytest.mark.parametrize("argv, flag", [
     (["generalize", "--checkpoint", "oracle", "--task", "Copy"], "--episodes"),
