@@ -458,6 +458,12 @@ def test_config_parsing(tmp_path, monkeypatch, capsys):
         main(["run", "--config", str(path)])
     assert exit.value.code == 2
     assert f"{path}:2: expected KEY=value" in capsys.readouterr().err
+    path.write_text("task = Copy\nmethod = qlearn\ntau = 0\nclip = 10\n")
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exit.value.code == 2
+    assert "error: argument --clip: --method qlearn takes no clip" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -494,8 +500,13 @@ def test_cli_refuses_a_missing_config_file(tmp_path, capsys):
     assert f"cannot read {path}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("given", [["--max-len", "20"], ["--max-len", "29"], ["--config", "<file>"]])
-def test_cli_refuses_a_max_len_below_the_first_probe_length(tmp_path, capsys, given):
+@pytest.mark.parametrize("given, message", [
+    (["--max-len", "20"], "below the first probe length 30"),
+    (["--max-len", "29"], "below the first probe length 30"),
+    (["--config", "<file>"], "below the first probe length 30"),
+    (["--max-len", "x"], "error: argument --max-len: invalid int value: 'x'")],
+    ids=["given0", "given1", "given2", "given3"])
+def test_cli_refuses_a_max_len_below_the_first_probe_length(tmp_path, capsys, given, message):
     from urex.harness.cli import main
 
     path = tmp_path / "short.conf"
@@ -505,35 +516,7 @@ def test_cli_refuses_a_max_len_below_the_first_probe_length(tmp_path, capsys, gi
         main(["generalize", "--checkpoint", "oracle", "--task", "Copy", *given,
               "--out", str(tmp_path / "out")])
     assert exit.value.code == 2
-    assert "below the first probe length 30" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_refuses_a_max_len_that_is_not_an_integer_as_other_int_flags(tmp_path, capsys):
-    from urex.harness.cli import main
-
-    with pytest.raises(SystemExit) as exit:
-        main(["generalize", "--checkpoint", "oracle", "--task", "Copy", "--max-len", "x",
-              "--out", str(tmp_path / "out")])
-    assert exit.value.code == 2
-    assert "error: argument --max-len: invalid int value: 'x'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("given, flag", [
-    (["--tau", "5"], "--tau"), (["--tau", "0", "--clip", "10"], "--clip"),
-    (["--tau", "0", "--config", "<file>"], "--clip")], ids=["tau", "clip", "clip in file"])
-def test_cli_qlearn_run_refuses_the_tau_and_clip_it_never_reads(tmp_path, capsys, given, flag):
-    from urex.harness.cli import main
-
-    path = tmp_path / "clip.conf"
-    path.write_text("clip = 10\n")
-    given = [str(path) if arg == "<file>" else arg for arg in given]
-    with pytest.raises(SystemExit) as exit:
-        main(["run", "--task", "Copy", "--method", "qlearn", "--profile", "desk", "--steps", "1",
-              *given, "--out", str(tmp_path / "out")])
-    assert exit.value.code == 2
-    assert f"error: argument {flag}: --method qlearn" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -547,7 +530,6 @@ def test_cli_grid_offers_the_policy_gradient_methods_only(tmp_path, monkeypatch,
     assert exit.value.code == 2
     assert "argument --method: invalid choice: 'qlearn'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -568,6 +550,8 @@ def test_cli_refuses_a_count_below_one(tmp_path, capsys, argv, flag, value):
 
 _RUN_MENT = ["run", "--task", "Copy", "--method", "ment", "--tau", "0.01", "--profile", "desk",
              "--steps", "1"]
+_RUN_QLEARN = ["run", "--task", "Copy", "--method", "qlearn", "--tau", "0", "--profile", "desk",
+               "--steps", "1"]
 
 
 @pytest.mark.parametrize("argv, flag, value", [
@@ -575,8 +559,7 @@ _RUN_MENT = ["run", "--task", "Copy", "--method", "ment", "--tau", "0.01", "--pr
     (["run", "--task", "Copy", "--method", "urex", "--profile", "desk"], "--tau", "0"),
     (["grid", "--task", "Copy", "--method", "urex", "--profile", "desk"], "--tau", "0"),
     (_RUN_MENT, "--eta", "0"),
-    (["run", "--task", "Copy", "--method", "qlearn", "--tau", "0", "--profile", "desk",
-      "--steps", "1"], "--eta", "-1"),
+    (_RUN_QLEARN, "--eta", "-1"), (_RUN_QLEARN, "--tau", "5"), (_RUN_QLEARN, "--clip", "10"),
     (_RUN_MENT, "--clip", "0"), (_RUN_MENT, "--clip", "inf"),
     (_RUN_MENT, "--seed", "-1"), (_RUN_MENT, "--steps", "-1"),
     (["generalize", "--checkpoint", "oracle", "--task", "Copy", "--max-len", "30",
