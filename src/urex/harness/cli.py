@@ -177,7 +177,7 @@ def main(argv=None):
 
     p = sub.add_parser("grid", help="eta x clip x restart robustness grid")
     p.add_argument("--task", type=_task, required=True)
-    p.add_argument("--method", choices=["ment", "urex"], required=True)
+    p.add_argument("--method", choices=["ment", "urex", "qlearn"], required=True)
     p.add_argument("--tau", type=_nonnegative, required=True)
     p.add_argument("--profile", choices=sorted(PROFILES), default=DEFAULT_PROFILE)
     _add_common(p)
@@ -222,9 +222,9 @@ def main(argv=None):
     error = sub.choices[args.command].error
     if method == "urex" and args.tau == 0:  # run and grid
         error("argument --tau: --method urex needs tau > 0")
-    if method == "qlearn" and args.tau != 0:  # run only: Q-learning reads neither tau nor clip
+    if method == "qlearn" and args.tau != 0:  # run and grid: Q-learning reads neither tau nor clip
         error("argument --tau: --method qlearn needs tau 0")
-    if method == "qlearn" and args.clip is not None:
+    if method == "qlearn" and getattr(args, "clip", None) is not None:
         error("argument --clip: --method qlearn takes no clip")
     try:
         args.func(args)

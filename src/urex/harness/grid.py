@@ -81,7 +81,9 @@ def _load_manifest(path):
 def run_grid(task: TaskId, method: str, tau: float, *, etas=ETAS, clips=CLIPS,
              restarts: int = RESTARTS, profile: str = DEFAULT_PROFILE,
              manifest_path=None, spec_overrides=None) -> GridResult:
-    """Run (or resume) the full eta x clip x restart grid for one method."""
+    """Run (or resume) the full eta x clip x restart grid for one method.
+    A method that fixes the clip (Q-learning) runs one clip row."""
+    clips = dict.fromkeys(make_spec(task, method, tau, clip=clip).clip for clip in clips)
     done = _load_manifest(manifest_path)
     result = GridResult(task=task, method=method, tau=tau, etas=tuple(etas),
                         clips=tuple(clips), restarts=restarts)

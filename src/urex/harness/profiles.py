@@ -80,6 +80,10 @@ class TrialSpec:
     eval_episodes: int = EVAL_EPISODES
     profile: str = DEFAULT_PROFILE
 
+    def __post_init__(self):  # Q-learning reads no tau, clip, k or n: one value each
+        if self.method == "qlearn":
+            self.tau, self.clip, self.k, self.n = 0.0, 10.0, 10, GROUPS_PER_BATCH[self.task]
+
     def key(self) -> str:
         return (
             f"{self.task.value}/{self.method}/tau{self.tau:g}/eta{self.eta:g}"

@@ -75,6 +75,8 @@ class RecurrentPolicy:
         sizes = [s for _, s in self.heads]
         self.head_sizes = tuple(sizes)
         self._width = width = max(sizes)
+        if width >= 8 and min(sizes) < width:  # the bits condition in the class docstring
+            raise ValueError(f"heads of widths {sizes} differ, and one is 8 or more wide")
         self._head_offsets = np.cumsum([0] + sizes[:-1])  # each head's first column
         self._input_offsets = self.obs_dim + self._head_offsets
         # slot k * widest + j of a row's heads holds logit column offset_k + j

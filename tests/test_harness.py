@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from urex.harness import (CLIPS, ETAS, RESTARTS, BanditExperimentConfig, GridRes
                           make_spec, render_trace, run_bandit_experiment, run_grid,
                           run_trial, train_bandit_policy)
 from urex.harness import blas, grid, trial
+from urex.harness.profiles import GROUPS_PER_BATCH
 from urex.harness.trace import collect_actions
 from urex.policy import (LinearBanditPolicy, ParamVector, load_policy, policy_for_env,
                          save_checkpoint, save_policy)
@@ -174,6 +176,27 @@ def test_binary_search_trial_trains_and_evaluates_on_lists_of_envs():
         perfect.append(traj.total_reward >= traj.max_total_reward)
     assert mean_reward == pytest.approx(np.mean(totals)) and accuracy == np.mean(perfect)
     assert run_trial(spec).reward_curve == res.reward_curve
+
+
+def test_only_a_qlearn_spec_fixes_the_tau_clip_k_and_n_its_trial_never_reads():
+    for method in ("qlearn", "ment", "urex"):
+        base = make_spec(TaskId.COPY, method, 0.1, clip=1.0)
+        others = [make_spec(TaskId.COPY, method, 0.5, clip=1.0),
+                  make_spec(TaskId.COPY, method, 0.1, clip=40.0),
+                  make_spec(TaskId.COPY, method, 0.1, clip=1.0, k=4),
+                  make_spec(TaskId.COPY, method, 0.1, clip=1.0, n=7),
+                  replace(base, tau=0.5), replace(base, clip=40.0), replace(base, k=4),
+                  replace(base, n=7)]
+        for other in others:
+            if method == "qlearn":
+                assert (other.key(), other.stem(), other.record()) == (
+                    base.key(), base.stem(), base.record())
+            else:
+                assert other.stem() != base.stem() and other.record() != base.record()
+    qlearn = make_spec(TaskId.COPY, "qlearn", 0.1, clip=1.0)
+    assert (qlearn.tau, qlearn.clip, qlearn.k, qlearn.n) == (0.0, 10.0, 10,
+                                                             GROUPS_PER_BATCH[TaskId.COPY])
+    assert tiny_spec(method="qlearn", tau=3.0, clip=1.0) == tiny_spec(method="qlearn")
 
 
 def test_grid_manifest_resume(tmp_path):
@@ -520,18 +543,6 @@ def test_cli_refuses_a_max_len_below_the_first_probe_length(tmp_path, capsys, gi
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_grid_offers_the_policy_gradient_methods_only(tmp_path, monkeypatch, capsys):
-    from urex.harness import cli
-
-    monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("the grid ran"))
-    with pytest.raises(SystemExit) as exit:
-        cli.main(["grid", "--task", "Copy", "--method", "qlearn", "--tau", "0",
-                  "--profile", "desk", "--out", str(tmp_path / "out")])
-    assert exit.value.code == 2
-    assert "argument --method: invalid choice: 'qlearn'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("argv, flag", [
     (["generalize", "--checkpoint", "oracle", "--task", "Copy"], "--episodes"),
     (["bandit"], "--repeats"), (["bandit"], "--restarts"), (["bandit"], "--steps"),
@@ -693,9 +704,10 @@ def test_cli_reads_a_task_by_its_value_or_member_name_in_any_case(tmp_path, monk
     assert spec == make_spec(task, "ment", 0.0)
 
 
-def test_cli_grid_writes_its_table_csv_and_manifest_and_resumes(tmp_path, monkeypatch, capsys):
-    from urex.harness.cli import main
-
+def fake_grid_trials(monkeypatch):
+    """Stands a fake in for the grid's ``run_trial``: it succeeds at clip 10
+    on the first restarts (two at eta 0.1, one otherwise) and lists every
+    spec it is given.  Returns (that list, the fake)."""
     ran = []
 
     def fake_run_trial(spec):
@@ -705,6 +717,25 @@ def test_cli_grid_writes_its_table_csv_and_manifest_and_resumes(tmp_path, monkey
                            final_expected_reward=0.5, steps_run=3)
 
     monkeypatch.setattr(grid, "run_trial", fake_run_trial)
+    return ran, fake_run_trial
+
+
+def test_grid_runs_each_distinct_trial_once(monkeypatch):
+    ran, _ = fake_grid_trials(monkeypatch)
+    for method, tau, clips in [("qlearn", 0.0, (10.0,)), ("ment", 0.0, CLIPS),
+                               ("urex", 0.1, CLIPS)]:
+        ran.clear()
+        result = run_grid(TaskId.COPY, method, tau)
+        trials = len(ETAS) * len(clips) * RESTARTS  # 15 for qlearn, 60 for the others
+        assert len(ran) == len({spec.stem() for spec in ran}) == result.total_trials == trials
+        assert result.clips == clips
+        assert len(result.table().splitlines()) == 2 + len(clips)
+
+
+def test_cli_grid_writes_its_table_csv_and_manifest_and_resumes(tmp_path, monkeypatch, capsys):
+    from urex.harness.cli import main
+
+    ran, fake_run_trial = fake_grid_trials(monkeypatch)
     argv = ["grid", "--task", "copy", "--method", "ment", "--tau", "0", "--profile", "desk",
             "--out", str(tmp_path)]
     main(argv)
@@ -728,6 +759,35 @@ def test_cli_grid_writes_its_table_csv_and_manifest_and_resumes(tmp_path, monkey
     main(argv)  # every trial is in the manifest, so none runs again
     assert ran == [] and capsys.readouterr().out == table
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == files
+
+
+def test_cli_grid_runs_qlearn_once_per_eta_and_restart_under_runs_refusals(tmp_path, monkeypatch,
+                                                                           capsys):
+    from urex.harness.cli import main
+
+    ran, fake_run_trial = fake_grid_trials(monkeypatch)
+    main(["grid", "--task", "Copy", "--method", "qlearn", "--tau", "0", "--profile", "desk",
+          "--out", str(tmp_path)])
+    specs = [make_spec(TaskId.COPY, "qlearn", 0.0, eta=eta, restart_seed=restart,
+                       profile="desk") for eta in ETAS for restart in range(RESTARTS)]
+    assert ran == specs
+    stem = "grid_Copy_qlearn_tau0.0_desk"
+    assert sorted(os.listdir(tmp_path)) == [f"{stem}.csv", f"{stem}.jsonl"]
+    rows = [json.loads(line) for line in (tmp_path / f"{stem}.jsonl").read_text().splitlines()]
+    assert rows == [{**fake_run_trial(spec).record(), "spec": spec.record()} for spec in specs]
+    expected = GridResult(task=TaskId.COPY, method="qlearn", tau=0.0, etas=ETAS, clips=(10.0,),
+                          restarts=RESTARTS, counts={(0.1, 10.0): 2, (0.01, 10.0): 1,
+                                                     (0.001, 10.0): 1})
+    assert (tmp_path / f"{stem}.csv").read_text() == expected.to_csv()
+    table = capsys.readouterr().out
+    assert table == expected.table() + "\n" and table.endswith("success: 26.7% of 15\n")
+    for given, message in [(["--tau", "5"], "argument --tau: --method qlearn needs tau 0"),
+                           (["--tau", "0", "--clip", "10"], "unrecognized arguments: --clip 10")]:
+        with pytest.raises(SystemExit) as exit:
+            main(["grid", "--task", "Copy", "--method", "qlearn", *given,
+                  "--out", str(tmp_path / "out")])
+        assert exit.value.code == 2 and message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["Copy", "qlearn"])

@@ -10,8 +10,8 @@ import pytest
 
 from urex.envs import (TAPE_TASKS, Env, EpisodeError, TapeLatents, TaskId, draw_latents,
                        make_env)
-from urex.policy import (LinearBanditPolicy, RecurrentPolicy, load_policy,
-                         policy_for_env, save_policy)
+from urex.policy import (LinearBanditPolicy, ParamVector, RecurrentPolicy, load_policy,
+                         policy_for_env, save_checkpoint, save_policy)
 from urex.trainers import DoubleQLearner, QConfig
 from urex.types import TrajectoryBatch
 
@@ -422,6 +422,23 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     # recomputation after the round trip is bit-identical
     batch = TrajectoryBatch.from_trajectories([sample_trajectory(pol, env.clone(), 0)])
     assert loaded.replay(batch)[0][0] == pol.replay(batch)[0][0]
+
+
+def test_heads_of_mixed_widths_one_8_or_wider_are_refused_with_their_meta(tmp_path):
+    # a 5-wide head padded to 8 would sum its padded row out of order
+    heads = (("a", 5), ("b", 8))
+    with pytest.raises(ValueError, match=r"widths \[5, 8\]"):
+        RecurrentPolicy(6, heads, 4)
+    meta = {"kind": "recurrent", "obs_dim": 6, "heads": [list(h) for h in heads],
+            "hidden_size": 4}
+    with pytest.raises(ValueError, match=r"widths \[5, 8\]"):
+        RecurrentPolicy.from_meta(meta)
+    path = tmp_path / "mixed.ckpt"
+    save_checkpoint(path, ParamVector([("w", (3,))]), meta)
+    with pytest.raises(ValueError, match="not a policy checkpoint"):
+        load_policy(path)
+    for fits in ((("a", 5), ("b", 7)), (("a", 8), ("b", 8)), (("q", 120),)):
+        assert RecurrentPolicy(6, fits, 4).head_sizes == tuple(s for _, s in fits)
 
 
 def test_linear_policy_log_prob_and_grad():

@@ -29,7 +29,9 @@ compared:
   run, the CSVs of a small ``urex bandit`` and of ``urex generalize
   --checkpoint oracle``, and the text of ``urex trace``: the oracle's
   on BinarySearch and ReversedAddition, the urex run's checkpoint on
-  Copy and on Reverse (seed 3), and the qlearn run's checkpoint on Copy.
+  Copy and on Reverse (seed 3), and the qlearn run's checkpoint on Copy;
+- toy ``run_grid`` runs (``GRIDS``), one per method: each grid's
+  manifest rows and success table, in one digest.
 
 The trials run in a child process per checkout that imports ``urex``
 from that checkout's ``src/``.  Exits 1 if any digest differs or is
@@ -89,6 +91,13 @@ CLI_RUNS = {
     "trace run qlearn checkpoint Copy": ["trace", "--task", "Copy", "--checkpoint",
                                          "<run qlearn>"],
 }
+
+# methods of the toy grids, each at tau 0: desk Copy, one eta, two clips and two
+# restarts of 2-step trials; Q-learning fixes the clip, so its grid runs one clip row
+GRIDS = ("ment", "qlearn")
+GRID_ARGS = dict(etas=(0.1,), clips=(1.0, 10.0), restarts=2, profile="desk",
+                 spec_overrides=dict(max_steps=2, k=2, n=2, hidden_size=4, eval_every=1,
+                                     eval_episodes=2))
 
 
 def sha(text: str) -> str:
@@ -203,6 +212,20 @@ def cli_digests(tmp: Path) -> dict:
     return digests
 
 
+def grid_digests(tmp: Path) -> dict:
+    """Digests of the ``GRIDS``, run with the ``urex`` on ``sys.path``: each
+    grid's manifest rows and printed table."""
+    from urex.envs import TaskId
+    from urex.harness import run_grid
+
+    digests = {}
+    for method in GRIDS:
+        manifest = tmp / f"grid_{method}.jsonl"
+        result = run_grid(TaskId.COPY, method, 0.0, manifest_path=manifest, **GRID_ARGS)
+        digests[f"grid Copy/{method} rows and table"] = sha(manifest.read_text() + result.table())
+    return digests
+
+
 def trial_digests(trials=TRIALS) -> dict:
     """Digests of ``trials`` and of everything else the tool compares but the
     benchmark runs, run with the ``urex`` on ``sys.path``."""
@@ -237,6 +260,7 @@ def trial_digests(trials=TRIALS) -> dict:
                         digests[f"{name} sweep {length}"] = sha(record.to_csv())
                         digests[f"{name} sweep {length} episodes"] = probe.digest()
         digests.update(cli_digests(Path(tmp)))
+        digests.update(grid_digests(Path(tmp)))
     digests.update(search_digests())
     sweep = dict(lengths=ORACLE_SWEEP_LENGTHS, episodes_per_length=ORACLE_SWEEP_EPISODES)
     for task in TAPE_TASKS:
