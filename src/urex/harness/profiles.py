@@ -16,6 +16,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 
+from ..curriculum import LENGTH_FLOOR
 from ..envs import SUCCESS_THRESHOLDS, TRAIN_LENGTH_RANGE, TaskId
 
 # stochastic-gradient step budgets per task (full profile)
@@ -36,6 +37,9 @@ ETAS = (0.1, 0.01, 0.001)
 CLIPS = (1.0, 10.0, 40.0, 100.0)
 RESTARTS = 5
 EVAL_EVERY, EVAL_EPISODES = 50, 100  # greedy evaluation: how often, how many episodes
+# the least value of each spec field that run_trial can run
+FLOORS = dict(max_steps=1, eval_every=1, eval_episodes=1, n=1, hidden_size=1,
+              length_cap=LENGTH_FLOOR)
 
 
 @dataclass
@@ -83,6 +87,9 @@ class TrialSpec:
     def __post_init__(self):  # Q-learning reads no tau, clip, k or n: one value each
         if self.method == "qlearn":
             self.tau, self.clip, self.k, self.n = 0.0, 10.0, 10, GROUPS_PER_BATCH[self.task]
+        for name, floor in FLOORS.items():
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
 
     def key(self) -> str:
         return (

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
 from ..envs.base import COMPLETED
@@ -79,15 +77,9 @@ class LinearBanditPolicy:
 
     # -- collection protocol shared with the recurrent policy -------------------
     def collect(self, group_envs, k: int, rng: np.random.Generator):
-        groups = [self.sample(env, rng, k) for env in group_envs]
-        batch = groups[0] if len(groups) == 1 else TrajectoryBatch(
-            *(np.concatenate([getattr(g, f.name) for g in groups]) for f in fields(TrajectoryBatch)))
-
-        def grad_fn(coeffs):
-            coeffs = np.asarray(coeffs, dtype=float)
-            grad = np.zeros(self.dim)
-            for g, env in enumerate(group_envs):
-                grad += self.weighted_grad(groups[g], coeffs[g * k : (g + 1) * k], env)
-            return grad
-
-        return batch, grad_fn
+        """k arms from the one bandit instance an update trains on."""
+        if len(group_envs) != 1:
+            raise ValueError(f"collect takes one bandit instance, got {len(group_envs)}")
+        env = group_envs[0]
+        batch = self.sample(env, rng, k)
+        return batch, lambda coeffs: self.weighted_grad(batch, coeffs, env)

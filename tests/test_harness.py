@@ -199,6 +199,21 @@ def test_only_a_qlearn_spec_fixes_the_tau_clip_k_and_n_its_trial_never_reads():
     assert tiny_spec(method="qlearn", tau=3.0, clip=1.0) == tiny_spec(method="qlearn")
 
 
+@pytest.mark.parametrize("field,floor", [("max_steps", 1), ("eval_every", 1),
+                                         ("eval_episodes", 1), ("n", 1), ("hidden_size", 1),
+                                         ("length_cap", 2)])
+@pytest.mark.parametrize("build", ["make_spec", "replace", "direct"])
+def test_a_spec_refuses_a_value_its_trial_cannot_run(field, floor, build):
+    desk = make_spec(TaskId.COPY, "ment", 0.01, profile="desk", max_steps=2)
+    make = {"make_spec": lambda **kw: make_spec(TaskId.COPY, "ment", 0.01, profile="desk",
+                                                **{"max_steps": 2, **kw}),
+            "replace": lambda **kw: replace(desk, **kw),
+            "direct": tiny_spec}[build]
+    assert getattr(make(**{field: floor}), field) == floor
+    with pytest.raises(ValueError, match=f"{field} must be >= {floor}, got {floor - 1}"):
+        make(**{field: floor - 1})
+
+
 def test_grid_manifest_resume(tmp_path):
     manifest = tmp_path / "grid.jsonl"
     kw = dict(etas=(0.1, 0.01), clips=(1.0,), restarts=2, profile="desk",

@@ -95,7 +95,7 @@ def test_two_arm_bandit_improves(method, tau):
 def test_metrics_schema_every_step():
     env = FixedBanditEnv(0, payoffs=[0.8, 0.2, 0.1])
     cfg = TrainConfig(method="urex", tau=0.1, learning_rate=0.05, clip_norm=5.0,
-                      k=4, n=2, seed=3)
+                      k=8, n=1, seed=3)
     pol = LinearBanditPolicy(3)
     pol.init_params(np.random.Generator(np.random.PCG64(0)), scale=0.1)
     trainer = PolicyGradientTrainer(pol, FixedBandit([0.8, 0.2, 0.1]), cfg)
@@ -106,7 +106,7 @@ def test_metrics_schema_every_step():
         row = trainer.step().record()
         assert required.issubset(row.keys())
     # entropy-regularized method has no weight variance field
-    cfg2 = TrainConfig(method="ment", tau=0.01, learning_rate=0.05, clip_norm=5.0, k=4, n=2)
+    cfg2 = TrainConfig(method="ment", tau=0.01, learning_rate=0.05, clip_norm=5.0, k=8, n=1)
     pol2 = LinearBanditPolicy(3)
     trainer2 = PolicyGradientTrainer(pol2, FixedBandit([0.8, 0.2, 0.1]), cfg2)
     assert "weight_variance" not in trainer2.step().record()
@@ -115,7 +115,7 @@ def test_metrics_schema_every_step():
 def test_trainer_deterministic():
     def run():
         cfg = TrainConfig(method="urex", tau=0.1, learning_rate=0.05, clip_norm=5.0,
-                          k=4, n=2, seed=11)
+                          k=8, n=1, seed=11)
         pol = LinearBanditPolicy(3)
         pol.init_params(np.random.Generator(np.random.PCG64(1)), scale=0.1)
         trainer = PolicyGradientTrainer(pol, FixedBandit([0.8, 0.2, 0.1]), cfg)
@@ -131,7 +131,7 @@ def test_trainer_deterministic():
 def test_one_batch_advances_curriculum_at_most_one_level():
     # one arm paying 1: every episode of every batch is perfect
     cfg = TrainConfig(method="ment", tau=0.0, learning_rate=0.05, clip_norm=5.0,
-                      k=10, n=4, seed=0)
+                      k=40, n=1, seed=0)
     pol = LinearBanditPolicy(1)
     cur = CurriculumState(window=10)
     trainer = PolicyGradientTrainer(pol, FixedBandit([1.0]), cfg, cur)
