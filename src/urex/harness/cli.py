@@ -9,7 +9,7 @@ import os
 import sys
 
 from ..envs import TAPE_TASKS, TaskId, make_env
-from ..policy import RecurrentPolicy, load_policy, save_policy
+from ..policy import load_policy, save_policy
 from .bandit_exp import BanditExperimentConfig, run_bandit_experiment
 from .generalize import PROBE_LENGTHS, generalization_sweep
 from .grid import run_grid
@@ -94,7 +94,7 @@ def _load_fitting(path, task):
     env = make_env(task, 0)
     sizes = tuple(size for _, size in env.action_heads)
     spaces = [(env.num_observations, sizes), (env.num_observations, (math.prod(sizes),))]
-    net = (policy.obs_dim, policy.head_sizes) if isinstance(policy, RecurrentPolicy) else "linear"
+    net = (policy.obs_dim, policy.head_sizes)
     if net not in spaces:
         raise argparse.ArgumentTypeError(
             f"checkpoint {path} is {net}, not {task.value}'s (observations, heads) {spaces[0]}")

@@ -6,8 +6,8 @@ as a 100-episode average reward above the task threshold.
 
 The desk profile is a CPU-scale variant for CI: 32 hidden units, halved
 step budgets, lengths capped at 10, and success defined as 100% greedy
-accuracy (every evaluation episode perfect).  Tape tasks beyond Copy and
-DuplicatedInput are documented as full-profile-only.
+accuracy (every evaluation episode perfect).  It runs all six tasks;
+criterion 08 gates Copy and DuplicatedInput.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ CLIPS = (1.0, 10.0, 40.0, 100.0)
 RESTARTS = 5
 EVAL_EVERY, EVAL_EPISODES = 50, 100  # greedy evaluation: how often, how many episodes
 # the least value of each spec field that run_trial can run
-FLOORS = dict(max_steps=1, eval_every=1, eval_episodes=1, n=1, hidden_size=1,
+FLOORS = dict(max_steps=1, eval_every=1, eval_episodes=1, k=2, n=1, hidden_size=1,
               length_cap=LENGTH_FLOOR)
 
 
@@ -61,6 +61,9 @@ DESK = Profile(name="desk", hidden_size=32, length_cap=10, success_rule="perfect
 
 PROFILES = {profile.name: profile for profile in (FULL, DESK)}
 DEFAULT_PROFILE = FULL.name
+# the values of each string spec field that run_trial can run
+CHOICES = dict(method=("ment", "urex", "qlearn"), success_rule=("perfect", "threshold"),
+               profile=tuple(PROFILES))
 
 
 @dataclass
@@ -90,6 +93,9 @@ class TrialSpec:
         for name, floor in FLOORS.items():
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
+        for name, values in CHOICES.items():
+            if getattr(self, name) not in values:
+                raise ValueError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
 
     def key(self) -> str:
         return (
@@ -111,7 +117,7 @@ class TrialSpec:
 def make_spec(task: TaskId, method: str, tau: float, eta: float = 0.01,
               clip: float = 10.0, restart_seed: int = 0, profile: str = DEFAULT_PROFILE,
               **overrides) -> TrialSpec:
-    prof = PROFILES[profile]
+    prof = PROFILES.get(profile, FULL)  # TrialSpec refuses a profile not in PROFILES
     spec = TrialSpec(
         task=task,
         method=method,

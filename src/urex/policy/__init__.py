@@ -19,10 +19,9 @@ def save_policy(path, policy) -> None:
 
 def load_policy(path):
     params, meta = load_checkpoint(path)
-    net = LinearBanditPolicy if meta.get("kind") == "linear" else RecurrentPolicy
     try:
-        policy = net.from_meta(meta)
+        policy = RecurrentPolicy.from_meta(meta)
         policy.params.flat[:] = params.flat
-    except (KeyError, TypeError, ValueError) as err:  # meta or parameters of no such net
+    except (KeyError, TypeError, ValueError) as err:  # meta or parameters of no recurrent net
         raise ValueError(f"{path}: not a policy checkpoint (meta {meta})") from err
     return policy

@@ -9,11 +9,6 @@ from ..types import TrajectoryBatch
 from .params import ParamVector
 
 
-def _log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 class LinearBanditPolicy:
     """Single-step policy over a fixed action set with per-action features.
 
@@ -29,15 +24,10 @@ class LinearBanditPolicy:
     def init_params(self, rng: np.random.Generator, scale: float) -> None:
         self.params.flat[:] = rng.normal(scale=scale, size=self.dim)
 
-    def meta(self) -> dict:
-        return {"kind": "linear", "dim": self.dim}
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "LinearBanditPolicy":
-        return cls(meta["dim"])
-
     def log_probs(self, env) -> np.ndarray:
-        return _log_softmax((env.features @ self.params.flat)[None, :])[0]
+        logits = env.features @ self.params.flat
+        shifted = logits - logits.max()
+        return shifted - np.log(np.exp(shifted).sum())
 
     def probs(self, env) -> np.ndarray:
         return np.exp(self.log_probs(env))

@@ -46,18 +46,13 @@ def importance_weights(rewards, log_probs, tau: float) -> np.ndarray:
 def urex_coefficients(rewards, log_probs, tau: float, *,
                       num_groups: int = 1) -> np.ndarray:
     """Coefficients for groups of K trajectories, each sharing a latent state."""
-    return _urex_terms(rewards, log_probs, tau, num_groups)[0]
-
-
-def _urex_terms(rewards, log_probs, tau: float, num_groups: int):
-    """``urex_coefficients`` and the importance weights they are made from."""
     rewards = np.asarray(rewards, dtype=float)
     k = rewards.shape[-1]
     if k < 2:
         raise ValueError("reward centering needs K >= 2")
     r_hat = rewards - rewards.mean(axis=-1, keepdims=True)
     w_hat = importance_weights(rewards, log_probs, tau)
-    return (r_hat / k + tau * w_hat) / num_groups, w_hat
+    return (r_hat / k + tau * w_hat) / num_groups
 
 
 def ment_coefficients(rewards, log_probs, tau: float, *,

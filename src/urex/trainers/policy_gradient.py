@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import _urex_terms, ment_coefficients, weight_variance
+from .coefficients import (importance_weights, ment_coefficients, urex_coefficients,
+                           weight_variance)
 from .optim import AdamState, adam_update, clip_gradient
 
 METHODS = ("ment", "urex")
@@ -74,7 +75,8 @@ def group_coefficients(config: TrainConfig, rewards, log_probs) -> tuple[np.ndar
     """
     n = rewards.shape[0]
     if config.method == "urex":
-        coeffs, weights = _urex_terms(rewards, log_probs, config.tau, n)
+        coeffs = urex_coefficients(rewards, log_probs, config.tau, num_groups=n)
+        weights = importance_weights(rewards, log_probs, config.tau)
         return coeffs.ravel(), float(np.mean(weight_variance(weights)))
     return ment_coefficients(rewards, log_probs, config.tau, num_groups=n).ravel(), None
 

@@ -68,9 +68,9 @@ class DoubleQLearner:
         batch, steps = self.online.rollout([env], rng=self.rng, eps=eps, collect=True)
         T = int(batch.lengths[0])
         rewards = batch.rewards[0, :T]
-        q_online = _episode_logits(steps)
+        q_online = np.concatenate([st.logits for st in steps])  # (T, A)
         _, target_steps = self.target.replay(batch, collect=True)
-        q_target = _episode_logits(target_steps)
+        q_target = np.concatenate([st.logits for st in target_steps])
         best_next = q_online[1:].argmax(axis=1)
         targets = rewards.copy()
         targets[:-1] += self.config.discount * q_target[1:][np.arange(T - 1), best_next]
@@ -102,8 +102,3 @@ class DoubleQLearner:
     def greedy_episode(self, env):
         trajs, _ = self.online.rollout([env], greedy=True)
         return trajs[0]
-
-
-def _episode_logits(steps) -> np.ndarray:
-    """A one-row episode's cached head logits, one row per step: (T, A)."""
-    return np.concatenate([st.logits for st in steps])

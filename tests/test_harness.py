@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,8 +19,7 @@ from urex.harness import (CLIPS, ETAS, RESTARTS, BanditExperimentConfig, GridRes
 from urex.harness import blas, grid, trial
 from urex.harness.profiles import GROUPS_PER_BATCH
 from urex.harness.trace import collect_actions
-from urex.policy import (LinearBanditPolicy, ParamVector, load_policy, policy_for_env,
-                         save_checkpoint, save_policy)
+from urex.policy import ParamVector, load_policy, policy_for_env, save_checkpoint, save_policy
 from urex.trainers import DoubleQLearner, PolicyGradientTrainer, QConfig
 from urex.types import TrajectoryBatch
 
@@ -199,19 +199,28 @@ def test_only_a_qlearn_spec_fixes_the_tau_clip_k_and_n_its_trial_never_reads():
     assert tiny_spec(method="qlearn", tau=3.0, clip=1.0) == tiny_spec(method="qlearn")
 
 
-@pytest.mark.parametrize("field,floor", [("max_steps", 1), ("eval_every", 1),
-                                         ("eval_episodes", 1), ("n", 1), ("hidden_size", 1),
-                                         ("length_cap", 2)])
+SPEC_REFUSALS = [  # field, a value the spec takes, one it refuses, and the refusal
+    *[(field, floor, floor - 1, f"must be >= {floor}, got {floor - 1}") for field, floor in [
+        ("max_steps", 1), ("eval_every", 1), ("eval_episodes", 1), ("k", 2), ("n", 1),
+        ("hidden_size", 1), ("length_cap", 2)]],
+    ("method", "urex", "reinforce", "must be one of ('ment', 'urex', 'qlearn'), got 'reinforce'"),
+    ("success_rule", "threshold", "perfekt",
+     "must be one of ('perfect', 'threshold'), got 'perfekt'"),
+    ("profile", "full", "nope", "must be one of ('full', 'desk'), got 'nope'"),
+]
+
+
+@pytest.mark.parametrize("field, good, bad, message", SPEC_REFUSALS,
+                         ids=[f"{field}-{good}" for field, good, *_ in SPEC_REFUSALS])
 @pytest.mark.parametrize("build", ["make_spec", "replace", "direct"])
-def test_a_spec_refuses_a_value_its_trial_cannot_run(field, floor, build):
-    desk = make_spec(TaskId.COPY, "ment", 0.01, profile="desk", max_steps=2)
-    make = {"make_spec": lambda **kw: make_spec(TaskId.COPY, "ment", 0.01, profile="desk",
-                                                **{"max_steps": 2, **kw}),
-            "replace": lambda **kw: replace(desk, **kw),
+def test_a_spec_refuses_a_value_its_trial_cannot_run(field, good, bad, message, build):
+    base = dict(task=TaskId.COPY, method="ment", tau=0.01, profile="desk", max_steps=2)
+    make = {"make_spec": lambda **kw: make_spec(**{**base, **kw}),
+            "replace": lambda **kw: replace(make_spec(**base), **kw),
             "direct": tiny_spec}[build]
-    assert getattr(make(**{field: floor}), field) == floor
-    with pytest.raises(ValueError, match=f"{field} must be >= {floor}, got {floor - 1}"):
-        make(**{field: floor - 1})
+    assert getattr(make(**{field: good}), field) == good
+    with pytest.raises(ValueError, match=re.escape(f"{field} {message}")):
+        make(**{field: bad})
 
 
 def test_grid_manifest_resume(tmp_path):
@@ -612,11 +621,8 @@ def test_cli_steps_zero_keeps_the_profile_budget(tmp_path, monkeypatch):
 
 def small_checkpoint(tmp_path, kind):
     """A freshly initialised net saved as ``<kind>.ckpt``: a recurrent policy
-    for a task, the Copy Q-learner's online net ("qlearn") or a bandit
-    policy ("linear")."""
-    if kind == "linear":
-        net = LinearBanditPolicy(30)
-    elif kind == "qlearn":
+    for a task or the Copy Q-learner's online net ("qlearn")."""
+    if kind == "qlearn":
         net = DoubleQLearner(make_env(TaskId.COPY, 0), QConfig(hidden_size=8)).online
     else:
         net = small_policy(make_env(TaskId(kind), 0), 0)
@@ -633,10 +639,9 @@ SWEEP = ["--max-len", "30", "--episodes", "3"]
     (["trace"], "Copy", "BinarySearch", ["(6, (2, 2, 5))", "(4, (12,))"]),
     (["trace"], "BinarySearch", "Copy", ["(4, (12,))", "(6, (2, 2, 5))"]),
     (["generalize", *SWEEP], "BinarySearch", "Copy", ["(4, (12,))", "(6, (2, 2, 5))"]),
-    (["trace"], "linear", "Copy", ["linear", "(6, (2, 2, 5))"]),
     (["generalize", *SWEEP], "qlearn", "ReversedAddition", ["(6, (20,))", "(4, (4, 2, 3))"]),
 ], ids=["generalize-Copy-on-ReversedAddition", "trace-Copy-on-BinarySearch",
-        "trace-BinarySearch-on-Copy", "generalize-BinarySearch-on-Copy", "trace-linear-on-Copy",
+        "trace-BinarySearch-on-Copy", "generalize-BinarySearch-on-Copy",
         "generalize-qlearn-on-ReversedAddition"])
 def test_cli_refuses_a_checkpoint_that_does_not_fit_the_task(tmp_path, capsys, command, kind,
                                                              task, spaces):
@@ -670,8 +675,11 @@ def copy_checkpoint_bytes(path):
      "not a policy checkpoint"),
     (lambda path: save_checkpoint(path, ParamVector([("w", (3,))]), {"kind": "linear"}),
      "not a policy checkpoint"),
+    (lambda path: save_checkpoint(path, ParamVector([("theta", (30,))]),
+                                  {"kind": "linear", "dim": 30}),
+     "not a policy checkpoint"),
 ], ids=["missing", "directory", "text", "version", "truncated", "meta-of-no-net",
-        "linear-without-dim"])
+        "linear-without-dim", "linear"])
 def test_cli_refuses_a_checkpoint_it_cannot_load(tmp_path, capsys, command, make, reason):
     from urex.harness.cli import main
 
