@@ -9,7 +9,6 @@ blank, outside the written region) is observed.
 
 from __future__ import annotations
 
-import copy
 from typing import NamedTuple
 
 import numpy as np
@@ -204,7 +203,7 @@ _ROW_SHIFT, _COL_SHIFT = np.array(_ROW_STEP), np.array(_COL_STEP)
 class TapeLatents:
     """Latent states of one tape task's episodes, held in padded arrays.
 
-    Row ``b`` reads latent ``rows[b]``.  A latent's grid (its tape as one
+    Each array holds one entry per row.  A latent's grid (its tape as one
     row for the 1-D tasks) sits in ``grid`` inside a border of blanks,
     its cell ``(r, c)`` at ``[r + 1, c + 1]``, and every other entry is
     blank, so clipping a pointer to the border reads what the scalar env
@@ -220,7 +219,6 @@ class TapeLatents:
         self.task, self.env_type = task, env_type
         self.seeds, self.length_ranges = seeds, length_ranges
         self.grid, self.width, self.target, self.target_len = grid, width, target, target_len
-        self.rows = np.arange(len(seeds))
         self.step_limit = 4 * width + 4
 
     @classmethod
@@ -244,20 +242,20 @@ class TapeLatents:
                    width, target, target_len)
 
     def repeat(self, k: int) -> "TapeLatents":
-        """Each row ``k`` times in a row; the arrays are shared, not copied."""
-        other = copy.copy(self)
-        other.rows = np.repeat(self.rows, k)
-        return other
+        """Each row ``k`` times in a row, in new arrays."""
+        arrays = (np.repeat(a, k, axis=0)
+                  for a in (self.grid, self.width, self.target, self.target_len))
+        ranges = [r for r in self.length_ranges for _ in range(k)]
+        return TapeLatents(self.task, self.env_type, np.repeat(self.seeds, k), ranges, *arrays)
 
     def __len__(self) -> int:
-        return self.rows.size
+        return self.seeds.size
 
     def __getitem__(self, b: int) -> TapeEnv:
-        j = int(self.rows[b])
         env = self.env_type.__new__(self.env_type)
-        vars(env).update(seed=self.seeds[j], task=self.task, _stream=None, _has_latent=True,
-                         length_range=tuple(self.length_ranges[j]), done=False, steps=0)
-        env._set_grid(self.grid[j, 1:-1, 1 : 1 + self.width[j]])
+        vars(env).update(seed=self.seeds[b], task=self.task, _stream=None, _has_latent=True,
+                         length_range=tuple(self.length_ranges[b]), done=False, steps=0)
+        env._set_grid(self.grid[b, 1:-1, 1 : 1 + self.width[b]])
         env._begin()
         return env
 
@@ -267,21 +265,20 @@ class TapeLockstep:
 
     Each row follows ``TapeEnv.step`` exactly: same observations,
     rewards, termination causes and errors.  The ``TapeLatents`` given
-    only supply their latent state; no env is built or stepped.
+    only supply their arrays, read in place; no env is built or stepped.
     """
 
     def __init__(self, latents: TapeLatents):
-        owner = latents.rows
-        self.grid = latents.grid[owner]
-        self.target, self.target_len = latents.target[owner], latents.target_len[owner]
-        self.step_limit = latents.step_limit[owner]
+        self.grid = latents.grid
+        self.target, self.target_len = latents.target, latents.target_len
+        self.step_limit = latents.step_limit
         self.max_rewards = self.target_len.astype(float)
-        self.seeds = latents.seeds[owner]
+        self.seeds = latents.seeds
         self.task = latents.task
         self.base, self.n_moves = latents.env_type.base, latents.env_type.n_moves
         self.num_observations = self.base + 1
         self._max_row, self._max_col = self.grid.shape[1] - 1, self.grid.shape[2] - 1
-        B = owner.size
+        B = len(latents)
         # pointers are kept shifted by the border: cell (r, c) is at (r + 1, c + 1)
         self.row = np.ones(B, dtype=np.int64)
         self.col = np.ones(B, dtype=np.int64)

@@ -96,6 +96,10 @@ class TrialSpec:
         for name, values in CHOICES.items():
             if getattr(self, name) not in values:
                 raise ValueError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
+        for name in ("tau", "eta", "clip"):  # finite and > 0, but a ment or qlearn tau may be 0
+            value, zero_ok = getattr(self, name), name == "tau" and self.method != "urex"
+            if not (0 < value < float("inf") or zero_ok and value == 0):
+                raise ValueError(f"{name} must be finite and >{'=' * zero_ok} 0, got {value!r}")
 
     def key(self) -> str:
         return (

@@ -483,6 +483,21 @@ def test_drawn_latents_match_make_env_then_reset(task, rows, action_seed):
             assert tuple(value[i] for value in got) == tuple(expect)
 
 
+@pytest.mark.parametrize("task", TAPE_TASKS)
+def test_a_repeated_batch_is_its_seeds_drawn_in_turn(task):
+    seeds, ranges, k = [7, 3, 11], [(2, 4), (5, 8), (3, 3)], 3
+    repeated = draw_latents(task, seeds, ranges).repeat(k)
+    in_turn = draw_latents(task, [seed for seed in seeds for _ in range(k)],
+                           [r for r in ranges for _ in range(k)])
+    assert len(repeated) == len(in_turn) == len(seeds) * k
+    for got, want in zip(repeated, in_turn):
+        assert ((got.grid, got.target, got.seed, got.length_range)
+                == (want.grid, want.target, want.seed, want.length_range))
+    got, want = TapeLockstep(repeated), TapeLockstep(in_turn)
+    for name in ("first_obs", "target_len", "step_limit", "max_rewards"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+
 def test_drawn_latents_give_back_envs_without_drawing_or_resetting(monkeypatch):
     latents = draw_latents(TaskId.COPY, [1, 2, 3], [(2, 5)] * 3).repeat(2)
 

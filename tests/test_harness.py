@@ -199,7 +199,7 @@ def test_only_a_qlearn_spec_fixes_the_tau_clip_k_and_n_its_trial_never_reads():
     assert tiny_spec(method="qlearn", tau=3.0, clip=1.0) == tiny_spec(method="qlearn")
 
 
-SPEC_REFUSALS = [  # field, a value the spec takes, one it refuses, and the refusal
+SPEC_REFUSALS = [  # field, a value the spec takes, one it refuses, the refusal; ment unless named
     *[(field, floor, floor - 1, f"must be >= {floor}, got {floor - 1}") for field, floor in [
         ("max_steps", 1), ("eval_every", 1), ("eval_episodes", 1), ("k", 2), ("n", 1),
         ("hidden_size", 1), ("length_cap", 2)]],
@@ -207,20 +207,34 @@ SPEC_REFUSALS = [  # field, a value the spec takes, one it refuses, and the refu
     ("success_rule", "threshold", "perfekt",
      "must be one of ('perfect', 'threshold'), got 'perfekt'"),
     ("profile", "full", "nope", "must be one of ('full', 'desk'), got 'nope'"),
+    ("tau", 0.0, -1.0, "must be finite and >= 0, got -1.0"),
+    ("tau", 0.5, float("nan"), "must be finite and >= 0, got nan"),
+    ("tau", 0.01, 0.0, "must be finite and > 0, got 0.0", "urex"),
+    ("eta", 0.01, 0.0, "must be finite and > 0, got 0.0"),
+    ("eta", 0.1, float("inf"), "must be finite and > 0, got inf"),
+    ("clip", 10.0, -1.0, "must be finite and > 0, got -1.0"),
 ]
 
 
-@pytest.mark.parametrize("field, good, bad, message", SPEC_REFUSALS,
+@pytest.mark.parametrize("field, good, bad, message, method",
+                         [(*row, "ment")[:5] for row in SPEC_REFUSALS],
                          ids=[f"{field}-{good}" for field, good, *_ in SPEC_REFUSALS])
 @pytest.mark.parametrize("build", ["make_spec", "replace", "direct"])
-def test_a_spec_refuses_a_value_its_trial_cannot_run(field, good, bad, message, build):
-    base = dict(task=TaskId.COPY, method="ment", tau=0.01, profile="desk", max_steps=2)
+def test_a_spec_refuses_a_value_its_trial_cannot_run(field, good, bad, message, method, build):
+    base = dict(task=TaskId.COPY, method=method, tau=0.01, profile="desk", max_steps=2)
     make = {"make_spec": lambda **kw: make_spec(**{**base, **kw}),
             "replace": lambda **kw: replace(make_spec(**base), **kw),
-            "direct": tiny_spec}[build]
+            "direct": lambda **kw: tiny_spec(**{**base, **kw})}[build]
     assert getattr(make(**{field: good}), field) == good
     with pytest.raises(ValueError, match=re.escape(f"{field} {message}")):
         make(**{field: bad})
+
+
+def test_grid_refuses_a_spec_before_it_opens_the_manifest(tmp_path):
+    manifest = tmp_path / "grid.jsonl"
+    with pytest.raises(ValueError, match=re.escape("tau must be finite and > 0, got 0.0")):
+        run_grid(TaskId.COPY, "urex", 0.0, manifest_path=str(manifest))
+    assert not manifest.exists()
 
 
 def test_grid_manifest_resume(tmp_path):
