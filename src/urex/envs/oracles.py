@@ -5,9 +5,7 @@ from __future__ import annotations
 from ..types import Trajectory
 from .base import Env, EpisodeError, play
 from .search import BinarySearchEnv, _binary_script, _linear_script, action_index
-from .tape import (MOVE_LEFT, MOVE_RIGHT, CopyEnv, DuplicatedInputEnv,
-                   RepeatCopyEnv, ReverseEnv, ReversedAdditionEnv, TapeAction,
-                   TapeEnv)
+from .tape import TapeEnv
 
 
 def oracle_script(env: Env, strategy: str = "binary"):
@@ -19,7 +17,7 @@ def oracle_script(env: Env, strategy: str = "binary"):
             raise EpisodeError(f"unknown search strategy {strategy!r}")
         return scripts[strategy](env)
     if isinstance(env, TapeEnv):
-        return _tape_oracle_actions(env)
+        return env._oracle_actions()
     raise EpisodeError(f"no oracle for task {type(env).__name__}")
 
 
@@ -41,25 +39,3 @@ def oracle_rollout(env: Env, strategy: str = "binary") -> Trajectory:
         max_total_reward=env.max_total_reward(),
     )
 
-
-def _tape_oracle_actions(env) -> list[TapeAction]:
-    if isinstance(env, ReversedAdditionEnv):
-        # march right along the top row, writing one sum digit per step
-        return [TapeAction(MOVE_RIGHT, 1, d) for d in env.target]
-    tape = env.tape
-    n = len(tape)
-    if isinstance(env, CopyEnv):
-        return [TapeAction(MOVE_RIGHT, 1, s) for s in tape]
-    if isinstance(env, DuplicatedInputEnv):
-        # write on even cells, skip odd ones; stop right after the last emission
-        walk = [TapeAction(MOVE_RIGHT, 1 - (i % 2), tape[i]) for i in range(n)]
-        return walk[: 2 * len(env.target) - 1]
-    if isinstance(env, ReverseEnv):
-        walk = [TapeAction(MOVE_RIGHT, 0, 0) for _ in range(n)]
-        emit = [TapeAction(MOVE_LEFT, 1, tape[n - 1 - i]) for i in range(n)]
-        return walk + emit
-    if isinstance(env, RepeatCopyEnv):
-        fwd = [TapeAction(MOVE_RIGHT, 1, tape[i]) for i in range(n)]
-        back = [TapeAction(MOVE_LEFT, 1, tape[n - 1 - i]) for i in range(n)]
-        return fwd + back + fwd
-    raise EpisodeError(f"no tape oracle for {type(env).__name__}")

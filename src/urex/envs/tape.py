@@ -36,10 +36,10 @@ def decode_joint(j, base: int):
 class TapeEnv(Env):
     """Common emission/reward/step-limit logic for all tape tasks.
 
-    A task is its ``_draw_grid`` and ``_grid_target``: the grid of
-    symbols a latent holds (the tape is its row 0) and the symbols to
-    emit.  The pointer starts at cell ``(row, col) = (0, 0)``; off the
-    grid it observes a blank.
+    A task is its ``_draw_grid``, ``_grid_target`` and ``_oracle_actions``:
+    the grid of symbols a latent holds (the tape is its row 0), the symbols
+    to emit and a perfect episode, which writes them.  The pointer starts at
+    cell ``(row, col) = (0, 0)``; off the grid it observes a blank.
     """
 
     n_moves = 2
@@ -64,10 +64,6 @@ class TapeEnv(Env):
     def blank(self) -> int:
         return self.base
 
-    @property
-    def tape(self) -> tuple:
-        return self.grid[0]
-
     # -- latent -------------------------------------------------------------
     def _draw_latent(self, stream):
         lo, hi = self.length_range
@@ -90,6 +86,10 @@ class TapeEnv(Env):
 
     def max_total_reward(self) -> float:
         return float(len(self.target))
+
+    def _oracle_actions(self) -> list[TapeAction]:
+        # a write is scored against the next target symbol wherever the pointer stands
+        return [TapeAction(MOVE_RIGHT, 1, s) for s in self.target]
 
     # -- episode -------------------------------------------------------------
     def _begin(self) -> int:
@@ -156,17 +156,30 @@ class DuplicatedInputEnv(TapeEnv):
     def _grid_target(cls, grid):
         return grid[0, :: cls.duplication]
 
+    def _oracle_actions(self):
+        walk = [TapeAction(MOVE_RIGHT, write, s) for s in self.target for write in (1, 0)]
+        return walk[:-1]  # the episode ends at its last write
+
 
 class RepeatCopyEnv(TapeEnv):
     @staticmethod
     def _grid_target(grid):
         return np.concatenate((grid[0], grid[0, ::-1], grid[0]))
 
+    def _oracle_actions(self):
+        n = len(self.target) // 3
+        moves = [MOVE_RIGHT] * n + [MOVE_LEFT] * n + [MOVE_RIGHT] * n
+        return [TapeAction(move, 1, s) for move, s in zip(moves, self.target)]
+
 
 class ReverseEnv(TapeEnv):
     @staticmethod
     def _grid_target(grid):
         return grid[0, ::-1]
+
+    def _oracle_actions(self):
+        skips = [TapeAction(MOVE_RIGHT, 0, 0)] * len(self.target)  # to the tape's end
+        return skips + [TapeAction(MOVE_LEFT, 1, s) for s in self.target]
 
 
 class ReversedAdditionEnv(TapeEnv):

@@ -1,9 +1,9 @@
 """Hyper-parameter grid over learning rate and clip norm with random restarts.
 
 Completed trials are appended to a JSONL manifest, each row with its full
-trial spec, so an interrupted grid resumes without re-running finished work,
-a row run under a different spec is never reused, and the success-count
-table is always reconstructible from the manifest alone.
+trial spec.  A resumed grid finds a trial's row by that whole spec, so it
+re-runs no finished trial and reuses no row of another spec, and the
+success-count table is always reconstructible from the manifest alone.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class GridResult:
 
 
 def _load_manifest(path):
-    """Completed rows by key.  A torn last line, as a kill mid-write leaves,
-    is cut off with a warning so the next row starts on its own line; a
-    malformed line before it raises."""
+    """Completed rows by their recorded spec's JSON.  A torn last line, as
+    a kill mid-write leaves, is cut off with a warning so the next row
+    starts on its own line; a malformed line before it raises."""
     done = {}
     if path and os.path.exists(path):
         with open(path, "r+b") as fh:
@@ -71,7 +71,7 @@ def _load_manifest(path):
                     warnings.warn(f"{path}: dropping torn last line {n}", RuntimeWarning)
                     fh.truncate(sum(map(len, lines[:-1])))
                     break
-                done[row["key"]] = row
+                done[json.dumps(row.get("spec"), sort_keys=True)] = row
             else:
                 if lines and not lines[-1].endswith(b"\n"):
                     fh.write(b"\n")
@@ -96,8 +96,8 @@ def run_grid(task: TaskId, method: str, tau: float, *, etas=ETAS, clips=CLIPS,
                                      restart_seed=restart, profile=profile,
                                      **(spec_overrides or {}))
                     recorded = spec.record()
-                    row = done.get(spec.key())
-                    if row is None or row.get("spec") != recorded:
+                    row = done.get(json.dumps(recorded, sort_keys=True))
+                    if row is None:
                         row = {**run_trial(spec).record(), "spec": recorded}
                         if sink:
                             sink.write(json.dumps(row) + "\n")

@@ -155,7 +155,6 @@ def run_trial(spec: TrialSpec, metrics_path=None) -> TrialResult:
     """
     factory = env_factory_for(spec)
     probe = factory(0, LENGTH_FLOOR)
-    probe.reset()
     make_learner = _q_learner if spec.method == "qlearn" else _policy_gradient_learner
     policy, train_step = make_learner(spec, factory, probe)
     eval_rng = np.random.Generator(np.random.PCG64(

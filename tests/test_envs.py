@@ -66,19 +66,38 @@ def test_oracle_reward_equals_max_total_reward(task):
         assert env.done and abs(sum(traj.rewards) - traj.total_reward) < 1e-12
 
 
+class _ReversedTapeEnv(TapeEnv):
+    """A task that defines only its target: it has no oracle walk of its own."""
+
+    @staticmethod
+    def _grid_target(grid):
+        return grid[0, ::-1]
+
+
+def test_a_tape_task_without_its_own_walk_gets_a_perfect_oracle():
+    for seed in range(20):
+        env = _ReversedTapeEnv(seed, (2, 2 + seed))
+        for _ in range(5):
+            env.reset()
+            traj = oracle_rollout(env)
+            assert traj.total_reward == traj.max_total_reward == len(env.target)
+            assert env.done and len(traj.actions) == len(env.target)
+
+
 def test_copy_basics():
     env = make_env(TaskId.COPY, 7, (5, 5))
     env.reset()
     assert env.reset() is not None
     # first observation is the first tape symbol
     obs = env.restart()
-    assert obs == env.tape[0]
+    tape = env.grid[0]
+    assert obs == tape[0]
     # correct full emission earns one reward per symbol
     total = 0.0
-    for sym in env.tape:
+    for sym in tape:
         res = env.step(TapeAction(MOVE_RIGHT, 1, sym))
         total += res.reward
-    assert total == len(env.tape) == env.max_total_reward()
+    assert total == len(tape) == env.max_total_reward()
     assert res.done and res.cause == COMPLETED
 
 
@@ -111,17 +130,18 @@ def test_blank_observation_off_tape():
 def test_duplicated_input_layout():
     env = make_env(TaskId.DUPLICATED_INPUT, 3, (6, 6))
     env.reset()
-    assert len(env.tape) % 2 == 0
-    assert env.tape[0::2] == env.tape[1::2]  # each symbol doubled
-    assert env.target == env.tape[0::2]
+    tape = env.grid[0]
+    assert len(tape) % 2 == 0
+    assert tape[0::2] == tape[1::2]  # each symbol doubled
+    assert env.target == tape[0::2]
 
 
 def test_repeat_copy_target():
     env = make_env(TaskId.REPEAT_COPY, 5, (4, 4))
     env.reset()
-    n = len(env.tape)
-    assert env.max_total_reward() == 3 * n
-    assert env.target == env.tape + env.tape[::-1] + env.tape
+    tape = env.grid[0]
+    assert env.max_total_reward() == 3 * len(tape)
+    assert env.target == tape + tape[::-1] + tape
 
 
 def test_reverse_small_case():
@@ -129,7 +149,7 @@ def test_reverse_small_case():
     env.reset()
     traj = oracle_rollout(env)
     assert traj.total_reward == 2.0
-    assert env.target == env.tape[::-1]
+    assert env.target == env.grid[0][::-1]
 
 
 def test_reversed_addition_grid():
@@ -155,7 +175,7 @@ def test_reset_draws_the_specified_latent(task, seed, lo, span):
     for _ in range(3):  # each reset draws the next latent from the seed stream
         first = env.reset()
         grid, target, input_length, step_limit = tape_spec.draw(task, stream, (lo, lo + span))
-        assert (env.grid if task is TaskId.REVERSED_ADDITION else (env.tape,)) == grid
+        assert env.grid == grid
         assert env.target == target
         assert env.input_length == input_length and env.step_limit == step_limit
         assert first == grid[0][0]
@@ -267,7 +287,7 @@ def test_clone_shares_latent_fresh_episode():
     env.reset()
     env.step(TapeAction(MOVE_RIGHT, 0, 0))
     clone = env.clone()
-    assert clone.tape == env.tape and clone.steps == 0 and not clone.done
+    assert clone.grid[0] == env.grid[0] and clone.steps == 0 and not clone.done
     with pytest.raises(EpisodeError):
         clone.reset()
 
@@ -306,10 +326,10 @@ def test_play_sends_a_generator_script_each_observation():
 def test_play_stops_when_a_list_script_runs_out():
     env = make_env(TaskId.COPY, 3, (5, 5))
     env.reset()
-    script = [TapeAction(MOVE_RIGHT, 1, s) for s in env.tape[:2]]
+    script = [TapeAction(MOVE_RIGHT, 1, s) for s in env.grid[0][:2]]
     observations, actions, results = play(env, script)
     assert actions == script and [res.reward for res in results] == [1.0, 1.0]
-    assert observations == [env.tape[0], env.tape[1]]
+    assert observations == [env.grid[0][0], env.grid[0][1]]
     assert not env.done and env.steps == 2
     assert play(env, []) == ([], [], []) and env.steps == 0  # restarted, never stepped
 
@@ -453,9 +473,8 @@ def test_drawn_latents_match_make_env_then_reset(task, rows, action_seed):
     first = [env.reset() for env in envs]
     stepper = TapeLockstep(latents)
     for b, env in enumerate(envs):
-        grid = env.grid if task is TaskId.REVERSED_ADDITION else (env.tape,)
-        inside = latents.grid[b, 1 : 1 + len(grid), 1 : 1 + env.input_length]
-        assert inside.tolist() == [list(r) for r in grid]
+        inside = latents.grid[b, 1 : 1 + len(env.grid), 1 : 1 + env.input_length]
+        assert inside.tolist() == [list(r) for r in env.grid]
         assert (latents.grid[b] == env.blank).sum() == latents.grid[b].size - inside.size
         assert latents.width[b] == env.input_length
         assert latents.target[b, : latents.target_len[b]].tolist() == list(env.target)

@@ -202,7 +202,7 @@ def test_only_a_qlearn_spec_fixes_the_tau_clip_k_and_n_its_trial_never_reads():
 SPEC_REFUSALS = [  # field, a value the spec takes, one it refuses, the refusal; ment unless named
     *[(field, floor, floor - 1, f"must be >= {floor}, got {floor - 1}") for field, floor in [
         ("max_steps", 1), ("eval_every", 1), ("eval_episodes", 1), ("k", 2), ("n", 1),
-        ("hidden_size", 1), ("length_cap", 2)]],
+        ("hidden_size", 1), ("length_cap", 2), ("restart_seed", 0)]],
     ("method", "urex", "reinforce", "must be one of ('ment', 'urex', 'qlearn'), got 'reinforce'"),
     ("success_rule", "threshold", "perfekt",
      "must be one of ('perfect', 'threshold'), got 'perfekt'"),
@@ -306,11 +306,30 @@ def test_grid_rerun_with_a_different_spec_reruns_every_trial(tmp_path, monkeypat
     assert rerun == keys + keys
 
 
+def test_grid_resume_finds_each_of_two_specs_that_share_a_key(tmp_path, monkeypatch):
+    # the two specs differ only in max_steps, which key() leaves out
+    manifest = tmp_path / "grid.jsonl"
+    kw = dict(etas=(0.1,), clips=(1.0,), restarts=1, profile="desk", manifest_path=str(manifest))
+    overrides = dict(k=2, n=2, hidden_size=4, eval_every=1, eval_episodes=2)
+    runs = []
+    real_run_trial = grid.run_trial
+    monkeypatch.setattr(grid, "run_trial",
+                        lambda spec: runs.append(spec.max_steps) or real_run_trial(spec))
+    results = [run_grid(TaskId.COPY, "ment", 0.0, spec_overrides=dict(overrides, max_steps=m),
+                        **kw) for m in (2, 3, 2, 3)]
+    assert runs == [2, 3]
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    assert [row["spec"]["max_steps"] for row in rows] == [2, 3]
+    assert results[2].trials == results[0].trials and results[3].trials == results[1].trials
+
+
 def test_manifest_ends_rows_on_their_own_line_and_rejects_inner_damage(tmp_path):
     path = tmp_path / "grid.jsonl"
-    path.write_text('{"key": "a"}\n{"key": "b"}')  # complete row, newline not written
-    assert sorted(grid._load_manifest(str(path))) == ["a", "b"]
-    assert path.read_text() == '{"key": "a"}\n{"key": "b"}\n'
+    rows = '{"key": "a", "spec": {"s": 1}}\n{"key": "a", "spec": {"s": 2}}'
+    path.write_text(rows)  # complete rows, the last one's newline not written
+    done = grid._load_manifest(str(path))  # two rows of one key, each found by its spec
+    assert sorted(row["spec"]["s"] for row in done.values()) == [1, 2]
+    assert path.read_text() == rows + "\n"
     path.write_text('{"key": "a"}\n{"key": \n{"key": "b"}\n')
     with pytest.raises(json.JSONDecodeError):
         grid._load_manifest(str(path))
